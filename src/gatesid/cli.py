@@ -42,30 +42,27 @@ def _require(path):
         raise MissingArtifactError(path)
 
 
-def _parent_dir(path):
-    d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
-
-
-def _emit(summary):
-    print(json.dumps(summary, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # shared loading helpers
 
 
 def _load_corpus(rc):
-    _require(os.path.join(rc.corpus_dir, "items.csv"))
-    _require(os.path.join(rc.corpus_dir, "users.csv"))
-    _require(os.path.join(rc.corpus_dir, "impressions.csv"))
+    for name in ("items.csv", "users.csv", "impressions.csv"):
+        _require(os.path.join(rc.corpus_dir, name))
     return synthcorpus.load_corpus(rc.corpus_dir, runcfg.corpus_config(rc))
 
 
 def _load_sid_table(rc, n_items):
     _require(rc.sid_table_path)
     item_ids, sids = rqvae.load_sid_table(rc.sid_table_path)
+    ids, counts = np.unique(item_ids, return_counts=True)
+    bad = {"out-of-range": ids[(ids < 1) | (ids > n_items)],
+           "duplicate": ids[counts > 1],
+           "missing": np.setdiff1d(np.arange(1, n_items + 1), ids)}
+    for what, found in bad.items():
+        if found.size:
+            raise ValueError(f"{rc.sid_table_path}: {what} item ids {found[:5].tolist()} "
+                             f"(the corpus has items 1..{n_items}, one row each)")
     table = np.zeros((n_items + 1, sids.shape[1]), dtype=np.int64)
     table[item_ids] = sids
     return table
@@ -97,7 +94,6 @@ def cmd_train_rqvae(rc):
     corpus = _load_corpus(rc)
     cfg = runcfg.rqvae_config(rc)
     params, codebook, curve = rqvae.train_rqvae(corpus.item_content, cfg, seed=rc.seed)
-    _parent_dir(rc.codebook_path)
     rqvae.save_codebook(rc.codebook_path, codebook, cfg, rc.seed, params=params)
     util = rqvae.codebook_utilization(corpus.item_content, params, codebook)
     return {"command": "train-rqvae", "codebook_path": rc.codebook_path,
@@ -112,7 +108,6 @@ def cmd_encode_sids(rc):
         raise ValueError(f"codebook file {rc.codebook_path} lacks encoder weights; "
                          "regenerate it with train-rqvae")
     sids = rqvae.assign_sids(corpus.item_content, params, codebook)
-    _parent_dir(rc.sid_table_path)
     rqvae.save_sid_table(rc.sid_table_path, np.arange(1, corpus.n_items + 1), sids)
     return {"command": "encode-sids", "sid_table_path": rc.sid_table_path,
             "n_items": corpus.n_items,
@@ -126,7 +121,6 @@ def cmd_train(rc):
         corpus, sid_table, variant=rc.variant, seed=rc.seed,
         model_overrides=runcfg.model_overrides(rc),
         train_config=runcfg.train_config(rc), token_init=_token_init(rc))
-    _parent_dir(rc.model_path)
     model.save(rc.model_path, extra_meta={"loss_curve": info["loss_curve"],
                                           "seed": rc.seed})
     return {"command": "train", "model_path": rc.model_path,
@@ -145,7 +139,6 @@ def cmd_eval(rc):
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     report = evalkit.evaluate_model(corpus, model, _eval_info(rc, corpus))
-    _parent_dir(rc.report_path)
     report.save(rc.report_path)
     return {"command": "eval", "report_path": rc.report_path,
             "ctr_auc": report.metrics["ctr"]["all"]["auc"],
@@ -167,10 +160,8 @@ def cmd_ablate(rc):
         key = f"{variant}:{seed}"
         payload["cells"][key] = (json.loads(rep.to_json())
                                  if isinstance(rep, evalkit.EvalReport) else rep)
-    _parent_dir(rc.ablation_json)
     dk.atomic_write_text(rc.ablation_json,
                          json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _parent_dir(rc.ablation_csv)
     dk.atomic_write_text(rc.ablation_csv, evalkit.ablation_csv(summary))
     return {"command": "ablate", "ablation_json": rc.ablation_json,
             "ablation_csv": rc.ablation_csv,
@@ -182,7 +173,6 @@ def cmd_gate_curve(rc):
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     curve = evalkit.gate_age_curve(corpus, model)
-    _parent_dir(rc.gate_curve_csv)
     dk.atomic_write_text(rc.gate_curve_csv, evalkit.gate_curve_csv(curve))
     means = [r["mean_w"] for r in curve if r["mean_w"] is not None]
     return {"command": "gate-curve", "gate_curve_csv": rc.gate_curve_csv,
@@ -202,9 +192,7 @@ def cmd_export_emb(rc):
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     e_sid, e_item = model.item_embeddings()
-    _parent_dir(rc.emb_sid_csv)
     _write_emb_csv(rc.emb_sid_csv, e_sid)
-    _parent_dir(rc.emb_item_csv)
     _write_emb_csv(rc.emb_item_csv, e_item)
     return {"command": "export-emb", "emb_sid_csv": rc.emb_sid_csv,
             "emb_item_csv": rc.emb_item_csv, "n_items": int(e_sid.shape[0])}
@@ -293,7 +281,7 @@ def main(argv=None):
         log.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(summary)
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

@@ -10,7 +10,10 @@ by overriding the corresponding keys.
 import dataclasses
 from dataclasses import dataclass
 
-from .model import VARIANTS
+from .model import VARIANTS, ModelConfig
+from .rqvae import RqVaeConfig
+from .synthcorpus import CorpusConfig
+from .train import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -121,20 +124,25 @@ def _coerce(key, text):
         raise ConfigError(f"config key '{key}': {exc}") from None
 
 
+def _parse_pair(text, where):
+    """One key=value setting -> (key, typed value); ``where`` prefixes errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, val = text.split("=", 1)
+    key = key.strip()
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}: unknown config key '{key}'")
+    return key, _coerce(key, val)
+
+
 def parse_config_text(text, source="<config>"):
     """key=value lines; blank lines and # comments ignored."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"{source}:{lineno}: unknown config key '{key}'")
-        out[key] = _coerce(key, val)
+        if line:
+            key, val = _parse_pair(line, f"{source}:{lineno}")
+            out[key] = val
     return out
 
 
@@ -149,13 +157,8 @@ def build_config(config_path=None, overrides=None):
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from None
         values.update(parse_config_text(text, source=config_path))
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key '{key}'")
-        values[key] = _coerce(key, val)
+        key, val = _parse_pair(item, "--set")
+        values[key] = val
     cfg = RunConfig(**values)
     if cfg.variant not in VARIANTS:
         raise ConfigError(f"unknown variant '{cfg.variant}'; expected one of {VARIANTS}")
@@ -166,43 +169,40 @@ def build_config(config_path=None, overrides=None):
 # views onto the per-module configs
 
 
+# Fields of the per-module configs that do not read the RunConfig key of the
+# same name: the key they read instead, or None for a field that the run
+# config leaves at the module default. The quantizer's epochs, batch_size, lr
+# and weight_decay must not take the ranking model's training values.
+_WIRING = {
+    RqVaeConfig: {"latent_dim": "rq_latent_dim", "levels": "rq_levels",
+                  "codes_per_level": "rq_codes", "hidden_dim": "rq_hidden",
+                  "beta": "rq_beta", "epochs": "rq_epochs", "batch_size": "rq_batch",
+                  "lr": "rq_lr", "ema_decay": "rq_ema_decay",
+                  "kmeans_iters": "rq_kmeans_iters", "weight_decay": None},
+    # d_item is derived in model_overrides; l_max comes from the corpus
+    ModelConfig: {"sid_levels": "rq_levels", "sid_codes": "rq_codes", "d_item": None,
+                  "variant": None, "l_max": None, "n_stat": None},
+}
+
+
+def _view(cls, rc):
+    """Keyword arguments for dataclass ``cls`` read from RunConfig ``rc``."""
+    wiring = _WIRING.get(cls, {})
+    keys = {f.name: wiring.get(f.name, f.name) for f in dataclasses.fields(cls)}
+    return {name: getattr(rc, key) for name, key in keys.items() if key is not None}
+
+
 def corpus_config(rc):
-    from .synthcorpus import CorpusConfig
-    return CorpusConfig(
-        n_users=rc.n_users, n_items=rc.n_items, n_impressions=rc.n_impressions,
-        n_days=rc.n_days, content_dim=rc.content_dim, n_topics=rc.n_topics,
-        topic_noise=rc.topic_noise, cold_fraction=rc.cold_fraction, l_max=rc.l_max,
-        label_noise=rc.label_noise, new_age_days=rc.new_age_days,
-        popular_age_days=rc.popular_age_days, max_age_days=rc.max_age_days,
-        exposure_boost=rc.exposure_boost, factor_dim=rc.factor_dim,
-        factor_clusters=rc.factor_clusters, user_anchors=rc.user_anchors,
-        drift_step=rc.drift_step, hist_state_window=rc.hist_state_window,
-        hist_state_blend=rc.hist_state_blend, base_ctr=rc.base_ctr,
-        sem_gain=rc.sem_gain, sem_floor=rc.sem_floor,
-        quality_gain=rc.quality_gain, collab_gain=rc.collab_gain)
+    return CorpusConfig(**_view(CorpusConfig, rc))
 
 
 def rqvae_config(rc):
-    from .rqvae import RqVaeConfig
-    return RqVaeConfig(
-        content_dim=rc.content_dim, latent_dim=rc.rq_latent_dim,
-        levels=rc.rq_levels, codes_per_level=rc.rq_codes, hidden_dim=rc.rq_hidden,
-        beta=rc.rq_beta, epochs=rc.rq_epochs, batch_size=rc.rq_batch,
-        lr=rc.rq_lr, ema_decay=rc.rq_ema_decay, kmeans_iters=rc.rq_kmeans_iters)
+    return RqVaeConfig(**_view(RqVaeConfig, rc))
 
 
 def model_overrides(rc):
-    return {
-        "sid_levels": rc.rq_levels, "sid_codes": rc.rq_codes,
-        "d_token": rc.d_token, "d_item": rc.rq_levels * rc.d_token,
-        "d_user": rc.d_user, "attn_dim": rc.attn_dim,
-        "attn_init_gain": rc.attn_init_gain, "gate_hidden": rc.gate_hidden,
-        "head_hidden1": rc.head_hidden1, "head_hidden2": rc.head_hidden2,
-        "tau": rc.tau, "lam": rc.lam,
-    }
+    return {**_view(ModelConfig, rc), "d_item": rc.rq_levels * rc.d_token}
 
 
 def train_config(rc):
-    from .train import TrainConfig
-    return TrainConfig(epochs=rc.epochs, batch_size=rc.batch_size, lr=rc.lr,
-                       weight_decay=rc.weight_decay, test_frac=rc.test_frac)
+    return TrainConfig(**_view(TrainConfig, rc))

@@ -50,4 +50,6 @@ def load_arrays(path):
             if len(buf) != 8 * n:
                 raise IOError(f"{path}: truncated blob for array '{entry['name']}'")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise IOError(f"{path}: trailing bytes after the last array")
     return arrays, manifest["meta"]

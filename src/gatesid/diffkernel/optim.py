@@ -44,13 +44,6 @@ class AdamW:
         for p in self.params.values():
             p.zero_grad()
 
-    def state_arrays(self):
-        out = {}
-        for name in self.params:
-            out[f"adamw.m.{name}"] = self.m[name]
-            out[f"adamw.v.{name}"] = self.v[name]
-        return out
-
 
 def grad_check(model_fn, params, step=1e-5, tolerance=1e-4):
     """Compare tape gradients of ``model_fn()`` against central differences.

@@ -84,10 +84,9 @@ def _make(values, inputs, backward_fn):
     return out
 
 
-def _check_finite(op, *tensors):
-    for t in tensors:
-        if not np.all(np.isfinite(t.values)):
-            raise NonFiniteError(op)
+def _check_finite(op, t):
+    if not np.all(np.isfinite(t.values)):
+        raise NonFiniteError(op)
 
 
 # ---------------------------------------------------------------------------
@@ -97,48 +96,44 @@ def _check_finite(op, *tensors):
 def add(a, b):
     if a.shape != b.shape and b.values.ndim != 0:
         raise ShapeError("add", a.shape, b.shape)
-    out = _make(a.values + b.values, (a, b), None)
 
     def bw(g):
         _accum(a, g)
         _accum(b, g.sum() if b.values.ndim == 0 else g)
 
-    return _finish(out, bw)
+    return _make(a.values + b.values, (a, b), bw)
 
 
 def sub(a, b):
     if a.shape != b.shape and b.values.ndim != 0:
         raise ShapeError("sub", a.shape, b.shape)
-    out = _make(a.values - b.values, (a, b), None)
 
     def bw(g):
         _accum(a, g)
         _accum(b, -(g.sum() if b.values.ndim == 0 else g))
 
-    return _finish(out, bw)
+    return _make(a.values - b.values, (a, b), bw)
 
 
 def mul(a, b):
     if a.shape != b.shape and b.values.ndim != 0:
         raise ShapeError("mul", a.shape, b.shape)
-    out = _make(a.values * b.values, (a, b), None)
 
     def bw(g):
         _accum(a, g * b.values)
         gb = g * a.values
         _accum(b, gb.sum() if b.values.ndim == 0 else gb)
 
-    return _finish(out, bw)
+    return _make(a.values * b.values, (a, b), bw)
 
 
 def affine(x, scale=1.0, shift=0.0):
     """scale * x + shift, with float constants."""
-    out = _make(scale * x.values + shift, (x,), None)
 
     def bw(g):
         _accum(x, scale * g)
 
-    return _finish(out, bw)
+    return _make(scale * x.values + shift, (x,), bw)
 
 
 def neg(x):
@@ -146,56 +141,50 @@ def neg(x):
 
 
 def square(x):
-    out = _make(x.values * x.values, (x,), None)
-
     def bw(g):
         _accum(x, 2.0 * g * x.values)
 
-    return _finish(out, bw)
+    return _make(x.values * x.values, (x,), bw)
 
 
 def texp(x):
     _check_finite("exp", x)
     v = np.exp(x.values)
-    out = _make(v, (x,), None)
 
     def bw(g):
         _accum(x, g * v)
 
-    return _finish(out, bw)
+    return _make(v, (x,), bw)
 
 
 def tlog(x):
     if np.any(x.values <= 0):
         raise ValueError("log: input must be strictly positive")
-    out = _make(np.log(x.values), (x,), None)
 
     def bw(g):
         _accum(x, g / x.values)
 
-    return _finish(out, bw)
+    return _make(np.log(x.values), (x,), bw)
 
 
 def sigmoid(x):
     _check_finite("sigmoid", x)
     z = np.exp(-np.abs(x.values))
     v = np.where(x.values >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    out = _make(v, (x,), None)
 
     def bw(g):
         _accum(x, g * v * (1.0 - v))
 
-    return _finish(out, bw)
+    return _make(v, (x,), bw)
 
 
 def relu(x):
     mask = x.values > 0
-    out = _make(np.where(mask, x.values, 0.0), (x,), None)
 
     def bw(g):
         _accum(x, g * mask)
 
-    return _finish(out, bw)
+    return _make(np.where(mask, x.values, 0.0), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +195,25 @@ def matmul(a, b):
     """a @ b where b is 2-D and a has ndim >= 2."""
     if b.values.ndim != 2 or a.values.ndim < 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-    out = _make(np.matmul(a.values, b.values), (a, b), None)
 
     def bw(g):
         _accum(a, np.matmul(g, b.values.T))
         k = a.shape[-1]
         _accum(b, a.values.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
 
-    return _finish(out, bw)
+    return _make(np.matmul(a.values, b.values), (a, b), bw)
 
 
 def add_bias(x, b):
     """x + b broadcasting b over all leading axes of x."""
     if b.values.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError("add_bias", x.shape, b.shape)
-    out = _make(x.values + b.values, (x, b), None)
 
     def bw(g):
         _accum(x, g)
         _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _finish(out, bw)
+    return _make(x.values + b.values, (x, b), bw)
 
 
 def concat(parts, axis=-1):
@@ -237,7 +224,6 @@ def concat(parts, axis=-1):
         s = list(p.shape)
         if len(s) != len(base) or any(s[i] != base[i] for i in range(len(s)) if i != ax):
             raise ShapeError("concat", *[p.shape for p in parts])
-    out = _make(np.concatenate([p.values for p in parts], axis=ax), parts, None)
     sizes = [p.shape[ax] for p in parts]
 
     def bw(g):
@@ -247,7 +233,7 @@ def concat(parts, axis=-1):
             sl[ax] = slice(lo, hi)
             _accum(p, g[tuple(sl)])
 
-    return _finish(out, bw)
+    return _make(np.concatenate([p.values for p in parts], axis=ax), parts, bw)
 
 
 def gather_rows(table, idx):
@@ -257,51 +243,47 @@ def gather_rows(table, idx):
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(f"gather_rows: index out of range for table with {table.shape[0]} rows")
-    out = _make(table.values[idx], (table,), None)
 
     def bw(g):
         gt = np.zeros_like(table.values)
         np.add.at(gt, idx.ravel(), g.reshape(-1, table.shape[1]))
         _accum(table, gt)
 
-    return _finish(out, bw)
+    return _make(table.values[idx], (table,), bw)
 
 
 def take_column(x, j):
     if x.values.ndim != 2 or not (0 <= j < x.shape[1]):
         raise ShapeError("take_column", x.shape)
-    out = _make(x.values[:, j], (x,), None)
 
     def bw(g):
         gx = np.zeros_like(x.values)
         gx[:, j] = g
         _accum(x, gx)
 
-    return _finish(out, bw)
+    return _make(x.values[:, j], (x,), bw)
 
 
 def transpose(x):
     if x.values.ndim != 2:
         raise ShapeError("transpose", x.shape)
-    out = _make(x.values.T.copy(), (x,), None)
 
     def bw(g):
         _accum(x, g.T)
 
-    return _finish(out, bw)
+    return _make(x.values.T.copy(), (x,), bw)
 
 
 def diag_part(x):
     if x.values.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ShapeError("diag_part", x.shape)
-    out = _make(np.diagonal(x.values).copy(), (x,), None)
 
     def bw(g):
         gx = np.zeros_like(x.values)
         np.fill_diagonal(gx, g)
         _accum(x, gx)
 
-    return _finish(out, bw)
+    return _make(np.diagonal(x.values).copy(), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +291,19 @@ def diag_part(x):
 
 
 def tsum(x):
-    out = _make(np.asarray(x.values.sum()), (x,), None)
-
     def bw(g):
         _accum(x, np.full_like(x.values, float(g)))
 
-    return _finish(out, bw)
+    return _make(np.asarray(x.values.sum()), (x,), bw)
 
 
 def tmean(x):
     n = x.values.size
-    out = _make(np.asarray(x.values.mean()), (x,), None)
 
     def bw(g):
         _accum(x, np.full_like(x.values, float(g) / n))
 
-    return _finish(out, bw)
+    return _make(np.asarray(x.values.mean()), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -352,57 +331,53 @@ def row_softmax(x, mask=None, allow_empty=False):
     if not row_any.all() and not allow_empty:
         raise ValueError("row_softmax: fully masked row")
     shifted = np.where(keep, v, -np.inf)
-    m = np.max(np.where(keep, v, -np.inf), axis=1, keepdims=True)
+    m = np.max(shifted, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(shifted - m)
     denom = e.sum(axis=1, keepdims=True)
     s = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
-    out = _make(s, (x,), None)
 
     def bw(g):
         inner = (g * s).sum(axis=1, keepdims=True)
         _accum(x, s * (g - inner))
 
-    return _finish(out, bw)
+    return _make(s, (x,), bw)
 
 
 def attention_scores(q, k):
     """Per-row dot products: q (B,d), k (B,L,d) -> (B,L)."""
     if q.values.ndim != 2 or k.values.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[1] != k.shape[2]:
         raise ShapeError("attention_scores", q.shape, k.shape)
-    out = _make(np.einsum("bd,bld->bl", q.values, k.values), (q, k), None)
 
     def bw(g):
         _accum(q, np.einsum("bl,bld->bd", g, k.values))
         _accum(k, np.einsum("bl,bd->bld", g, q.values))
 
-    return _finish(out, bw)
+    return _make(np.einsum("bd,bld->bl", q.values, k.values), (q, k), bw)
 
 
 def attention_pool(s, h):
     """Weighted pooling: s (B,L), h (B,L,D) -> (B,D)."""
     if s.values.ndim != 2 or h.values.ndim != 3 or s.shape != h.shape[:2]:
         raise ShapeError("attention_pool", s.shape, h.shape)
-    out = _make(np.einsum("bl,bld->bd", s.values, h.values), (s, h), None)
 
     def bw(g):
         _accum(s, np.einsum("bd,bld->bl", g, h.values))
         _accum(h, np.einsum("bl,bd->bld", s.values, g))
 
-    return _finish(out, bw)
+    return _make(np.einsum("bl,bld->bd", s.values, h.values), (s, h), bw)
 
 
 def scale_rows(s, w):
     """Row-wise scaling: s (B,L) scaled by w (B,1)."""
     if s.values.ndim != 2 or w.shape != (s.shape[0], 1):
         raise ShapeError("scale_rows", s.shape, w.shape)
-    out = _make(s.values * w.values, (s, w), None)
 
     def bw(g):
         _accum(s, g * w.values)
         _accum(w, (g * s.values).sum(axis=1, keepdims=True))
 
-    return _finish(out, bw)
+    return _make(s.values * w.values, (s, w), bw)
 
 
 def cosine_matrix(a, b):
@@ -415,7 +390,6 @@ def cosine_matrix(a, b):
         raise ValueError("cosine_matrix: zero-norm embedding")
     an = a.values / na
     bn = b.values / nb
-    out = _make(an @ bn.T, (a, b), None)
 
     def bw(g):
         gan = g @ bn
@@ -423,7 +397,7 @@ def cosine_matrix(a, b):
         _accum(a, (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na)
         _accum(b, (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb)
 
-    return _finish(out, bw)
+    return _make(an @ bn.T, (a, b), bw)
 
 
 def bce_with_logits(logits, labels):
@@ -433,26 +407,17 @@ def bce_with_logits(logits, labels):
         raise ShapeError("bce_with_logits", logits.shape, y.shape)
     z = logits.values
     v = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
-    out = _make(v, (logits,), None)
 
     def bw(g):
         zpos = np.exp(-np.abs(z))
         p = np.where(z >= 0, 1.0 / (1.0 + zpos), zpos / (1.0 + zpos))
         _accum(logits, g * (p - y))
 
-    return _finish(out, bw)
+    return _make(v, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
 # backward driver
-
-
-def _finish(out, bw):
-    # _make stored a placeholder closure slot; patch the real one in.
-    tape = Tape._active
-    if out.requires_grad and tape is not None and tape._ops and tape._ops[-1][0] is out:
-        tape._ops[-1] = (out, bw)
-    return out
 
 
 def backward(loss, tape=None):
@@ -470,7 +435,7 @@ def backward(loss, tape=None):
         out.grad = None
     loss.grad = np.ones_like(loss.values)
     for out, fn in reversed(tape._ops):
-        if out.grad is not None and fn is not None:
+        if out.grad is not None:
             fn(out.grad)
 
 

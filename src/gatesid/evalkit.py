@@ -18,16 +18,13 @@ log = logging.getLogger("gatesid.evalkit")
 
 
 def _midranks(x):
+    """1-based ranks; each run of tied values shares the mean of its ranks."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
     sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    ends = np.r_[starts[1:], len(sx)] - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -111,19 +108,16 @@ class EvalReport:
                    alignment=d["alignment"], counts=d["counts"])
 
 
-def evaluate_model(corpus, model, info, idx=None):
+def evaluate_model(corpus, model, info):
     """Bucketed AUC/GAUC on the test split plus gate and alignment diagnostics."""
-    idx = info["test_idx"] if idx is None else idx
+    idx = info["test_idx"]
     batch = train.make_batch(corpus, info["stats_raw"], idx)
     preds = model.predict(batch)
 
     ages = corpus.item_age[batch["target_ids"] - 1]
     cfg = corpus.config
-    buckets = {
-        "all": np.arange(idx.size),
-        "new": np.flatnonzero(ages < cfg.new_age_days),
-        "popular": np.flatnonzero(ages > cfg.popular_age_days),
-    }
+    by_age = synthcorpus.split_by_maturity(ages, cfg.new_age_days, cfg.popular_age_days)
+    buckets = {"all": np.arange(idx.size), "new": by_age["new"], "popular": by_age["popular"]}
     tasks = {"ctr": (preds["pctr"], batch["click"]),
              "ctcvr": (preds["pctcvr"], batch["click"] * batch["pay"])}
 
@@ -212,11 +206,10 @@ def ablation_csv(summary):
 # gate-age curve
 
 
-def gate_age_curve(corpus, model, bins=None):
+def gate_age_curve(corpus, model):
     """Mean gate weight per item-age bin; bins partition the age range."""
     cfg = corpus.config
-    if bins is None:
-        bins = [0, cfg.new_age_days, 60, 150, cfg.popular_age_days, cfg.max_age_days + 1]
+    bins = [0, cfg.new_age_days, 60, 150, cfg.popular_age_days, cfg.max_age_days + 1]
     stats = synthcorpus.item_stat_features(corpus)
     w = model.item_gate_weights(stats)
     ages = corpus.item_age

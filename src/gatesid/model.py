@@ -206,11 +206,11 @@ class GateSidModel:
         h = dk.relu(dk.linear(gin, self.params["gate.w1"], self.params["gate.b1"]))
         return dk.sigmoid(dk.linear(h, self.params["gate.w2"], self.params["gate.b2"]))
 
-    def _attention(self, e_target, seq, wq, wk, mask, allow_empty):
+    def _attention(self, e_target, seq, wq, wk, mask):
         q = dk.matmul(e_target, self.params[wq])
         k = dk.matmul(seq, self.params[wk])
         scores = dk.affine(dk.attention_scores(q, k), 1.0 / np.sqrt(self.cfg.attn_dim))
-        return dk.row_softmax(scores, mask=mask, allow_empty=allow_empty)
+        return dk.row_softmax(scores, mask=mask, allow_empty=True)
 
     # -- forward ---------------------------------------------------------------
 
@@ -234,13 +234,11 @@ class GateSidModel:
 
         w = self.gate_weight(e_item, stats_norm)
 
-        s_item = self._attention(e_item, h_item_seq, "attn.wq_item", "attn.wk_item",
-                                 mask, allow_empty=True)
+        s_item = self._attention(e_item, h_item_seq, "attn.wq_item", "attn.wk_item", mask)
         if cfg.variant == "no_gfsa":
             s_fused = s_item
         else:
-            s_sid = self._attention(e_sid, h_sid_seq, "attn.wq_sid", "attn.wk_sid",
-                                    mask, allow_empty=True)
+            s_sid = self._attention(e_sid, h_sid_seq, "attn.wq_sid", "attn.wk_sid", mask)
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
 
@@ -283,7 +281,7 @@ class GateSidModel:
         wk = np.asarray(w_values).reshape(-1)[keep]
         return dk.affine(dk.tsum(dk.mul(ell, dk.constant(wk))), 1.0 / keep.size)
 
-    def loss(self, batch, out=None, contrast_w=None):
+    def loss(self, batch, contrast_w=None):
         """Total objective on one batch. Returns (total, parts dict).
 
         ``contrast_w`` overrides the per-instance contrastive weights with a
@@ -291,7 +289,7 @@ class GateSidModel:
         override makes the loss a pure function of the remaining parameters,
         which is what a finite-difference gradient check needs.
         """
-        out = out or self.forward(batch)
+        out = self.forward(batch)
         click = np.asarray(batch["click"], dtype=np.float64)
         pay = np.asarray(batch["pay"], dtype=np.float64)
         l_rank = dk.add(dk.tmean(dk.bce_with_logits(out["ctr_logit"], click)),
@@ -369,32 +367,3 @@ class GateSidModel:
         model.stat_std = np.array(meta["stat_std"])
         return model
 
-
-# ---------------------------------------------------------------------------
-# standalone functional pieces (single-record forms)
-
-
-def intra_attention(target_embedding, sequence, w_q, w_k, mask, scale_dim=None):
-    """Attention distribution of one target over one sequence (L, d_in)."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("intra_attention: fully masked sequence")
-    d = scale_dim or w_q.shape[1]
-    q = dk.matmul(target_embedding, w_q)                    # (1, d)
-    k = dk.matmul(sequence, w_k)                            # (L, d)
-    scores = dk.affine(dk.matmul(q, dk.transpose(k)), 1.0 / np.sqrt(d))
-    return dk.row_softmax(scores, mask=mask[None, :])
-
-
-def fuse_attention(s_sid, s_item, w):
-    """Convex combination of two attention distributions with scalar weight w."""
-    if s_sid.shape != s_item.shape:
-        raise dk.ShapeError("fuse_attention", s_sid.shape, s_item.shape)
-    return dk.add(dk.affine(s_sid, w), dk.affine(s_item, 1.0 - w))
-
-
-def pool_sequences(s_fused, h_sid, h_item):
-    """Shared-distribution pooling of both positionally aligned sequences."""
-    if s_fused.shape[-1] != h_sid.shape[0] or s_fused.shape[-1] != h_item.shape[0]:
-        raise dk.ShapeError("pool_sequences", s_fused.shape, h_sid.shape, h_item.shape)
-    return dk.matmul(s_fused, h_sid), dk.matmul(s_fused, h_item)

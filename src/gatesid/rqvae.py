@@ -58,7 +58,18 @@ class Codebook:
 
 
 # ---------------------------------------------------------------------------
-# k-means
+# nearest-code search and k-means
+
+
+def nearest_code(x, codes):
+    """Nearest row of ``codes`` (K, d) for each row of ``x`` (N, d) by squared
+    Euclidean distance, ties going to the lowest index.
+
+    Returns (indices (N,), squared distance to the chosen code (N,)).
+    """
+    d = ((x[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
+    idx = d.argmin(axis=1)
+    return idx, d[np.arange(x.shape[0]), idx]
 
 
 def kmeans_fit(vectors, k, iters=25, seed=0):
@@ -83,21 +94,14 @@ def kmeans_fit(vectors, k, iters=25, seed=0):
         d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
 
     for _ in range(iters):
-        dist = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = dist.argmin(axis=1)
+        assign, dmin = nearest_code(x, centroids)
         for j in range(k):
             members = x[assign == j]
             if members.shape[0] == 0:
-                worst = dist[np.arange(x.shape[0]), assign].argmax()
-                centroids[j] = x[worst]
+                centroids[j] = x[dmin.argmax()]
             else:
                 centroids[j] = members.mean(axis=0)
     return centroids
-
-
-def kmeans_inertia(vectors, centroids):
-    d = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d.min(axis=1).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +123,11 @@ def rq_encode_batch(z, codebook):
     residuals[:, 0] = r
     for level in range(L):
         codes = codebook.codes[level]
-        d = ((r[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-        idx = d.argmin(axis=1)
+        idx, _ = nearest_code(r, codes)
         indices[:, level] = idx
         r = r - codes[idx]
         residuals[:, level + 1] = r
     return indices, residuals
-
-
-def rq_encode(z, codebook):
-    """Single-vector residual encode; see rq_encode_batch."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (codebook.latent_dim,):
-        raise ValueError(f"rq_encode: expected dimension {codebook.latent_dim}, got {z.shape}")
-    indices, residuals = rq_encode_batch(z[None, :], codebook)
-    return indices[0], residuals[0]
-
-
-def rq_decode(indices, codebook):
-    """Sum of the selected code vectors across levels."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.shape != (codebook.levels,):
-        raise ValueError(f"rq_decode: expected {codebook.levels} indices")
-    if indices.min() < 0 or indices.max() >= codebook.codes_per_level:
-        raise IndexError(f"rq_decode: index out of range [0, {codebook.codes_per_level})")
-    return codebook.codes[np.arange(codebook.levels), indices].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +172,9 @@ def encode_latents(params, contents, batch_size=1024):
 
 def _init_codebook(latents, config, seed):
     """Per-level k-means on the running residuals; index 0 at levels 2+ is
-    the pinned zero code, so those levels get K-1 learned centroids."""
+    the pinned zero code, so those levels get K-1 learned centroids. One
+    nearest-code step per level picks codes as ``rq_encode_batch`` would; the
+    next level fits the latents minus the running sum of the picked codes."""
     L, K, dz = config.levels, config.codes_per_level, config.latent_dim
     n = latents.shape[0]
     k_eff = K
@@ -197,8 +183,9 @@ def _init_codebook(latents, config, seed):
         warnings.warn(f"only {n} vectors for K={K}; k-means falls back to effective K={k_eff}")
     rng = np.random.default_rng([seed, 0x5EED])
     codes = np.zeros((L, K, dz))
-    r = latents.copy()
+    walk, chosen = latents, None  # walk: residual reduced one level at a time
     for level in range(L):
+        r = latents if chosen is None else latents - chosen
         learned = k_eff if level == 0 else k_eff - 1
         offset = 0 if level == 0 else 1
         cents = kmeans_fit(r, learned, iters=config.kmeans_iters, seed=seed + level)
@@ -206,11 +193,10 @@ def _init_codebook(latents, config, seed):
         # any remaining slots: jittered random residuals so they stay distinct
         for j in range(offset + learned, K):
             codes[level, j] = r[rng.integers(r.shape[0])] + rng.normal(0, 1e-3, dz)
-        cb = Codebook(codes[: level + 1])
-        idx, _ = rq_encode_batch(latents, cb)
-        r = latents - np.array([
-            codes[l][idx[:, l]] for l in range(level + 1)
-        ]).sum(axis=0)
+        idx, _ = nearest_code(walk, codes[level])
+        picked = codes[level][idx]
+        walk = walk - picked
+        chosen = picked if chosen is None else chosen + picked
     return Codebook(codes)
 
 

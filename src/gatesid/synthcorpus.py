@@ -261,36 +261,24 @@ def _window_counts(corpus, window_days=7):
     return wexpo, wclk
 
 
-def compute_stat_features(corpus, item_id, as_of):
-    """(online_duration_days, exposures_7d, clicks_7d) for one item at one day."""
-    if not (0 <= as_of < corpus.config.n_days):
-        raise ValueError(f"as_of day {as_of} outside the log window")
+def _stat_features(corpus, item_ids, days):
+    """(online_duration_days, exposures_7d, clicks_7d) per (item id, day) pair."""
     wexpo, wclk = _window_counts(corpus)
-    duration = max(0, int(corpus.item_age[item_id - 1]) - (corpus.config.n_days - 1 - as_of))
-    return np.array([duration, wexpo[item_id, as_of], wclk[item_id, as_of]], dtype=np.float64)
+    days_back = corpus.config.n_days - 1 - days
+    duration = np.maximum(0, corpus.item_age[item_ids - 1] - days_back)
+    return np.stack([duration.astype(np.float64), wexpo[item_ids, days],
+                     wclk[item_ids, days]], axis=1)
 
 
 def impression_stat_features(corpus):
     """Raw stat features for every impression, as of each impression's day."""
-    wexpo, wclk = _window_counts(corpus)
-    days_back = corpus.config.n_days - 1 - corpus.imp_ts
-    duration = np.maximum(0, corpus.item_age[corpus.imp_item - 1] - days_back)
-    return np.stack([
-        duration.astype(np.float64),
-        wexpo[corpus.imp_item, corpus.imp_ts],
-        wclk[corpus.imp_item, corpus.imp_ts],
-    ], axis=1)
+    return _stat_features(corpus, corpus.imp_item, corpus.imp_ts)
 
 
 def item_stat_features(corpus):
     """Raw stat features for every item at the end of the log (row i = item i+1)."""
-    wexpo, wclk = _window_counts(corpus)
-    last = corpus.config.n_days - 1
-    return np.stack([
-        corpus.item_age.astype(np.float64),
-        wexpo[1:, last],
-        wclk[1:, last],
-    ], axis=1)
+    ids = np.arange(1, corpus.n_items + 1)
+    return _stat_features(corpus, ids, np.full(ids.size, corpus.config.n_days - 1))
 
 
 def split_by_maturity(ages, new_threshold=20, popular_threshold=300):
@@ -311,7 +299,6 @@ def split_by_maturity(ages, new_threshold=20, popular_threshold=300):
 
 def save_corpus(dirpath, corpus):
     import os
-    os.makedirs(dirpath, exist_ok=True)
     c = corpus.config
 
     lines = ["item_id,age,quality,topic,"
@@ -347,25 +334,39 @@ def save_corpus(dirpath, corpus):
     atomic_write_text(os.path.join(dirpath, "stats.csv"), "\n".join(lines) + "\n")
 
 
+def _vector_columns(header, prefix):
+    """Positions of the columns prefix0, prefix1, ... in a CSV header."""
+    return [i for i, name in enumerate(header)
+            if name.startswith(prefix) and name[len(prefix):].isdigit()]
+
+
 def load_corpus(dirpath, config=None):
+    """Read a saved corpus. Vector widths come from the CSV headers; the
+    config supplies the history length and the generator settings."""
     import os
     config = config or CorpusConfig()
 
-    d, fd = config.content_dim, config.factor_dim
-    with open(os.path.join(dirpath, "items.csv")) as f:
-        rows = list(csv.reader(f))[1:]
+    items_path = os.path.join(dirpath, "items.csv")
+    with open(items_path) as f:
+        header, *rows = list(csv.reader(f))
+    vcols, fcols = _vector_columns(header, "v"), _vector_columns(header, "f")
     n_items = len(rows)
     item_age = np.array([int(r[1]) for r in rows])
     item_quality = np.array([float(r[2]) for r in rows])
     item_topic = np.array([int(r[3]) for r in rows])
-    item_content = np.array([[float(v) for v in r[4:4 + d]] for r in rows])
-    item_factor = np.array([[float(v) for v in r[4 + d:4 + d + fd]] for r in rows])
+    item_content = np.array([[float(r[i]) for i in vcols] for r in rows])
+    item_factor = np.array([[float(r[i]) for i in fcols] for r in rows])
 
-    with open(os.path.join(dirpath, "users.csv")) as f:
-        rows = list(csv.reader(f))[1:]
+    users_path = os.path.join(dirpath, "users.csv")
+    with open(users_path) as f:
+        header, *rows = list(csv.reader(f))
+    pcols, ufcols = _vector_columns(header, "p"), _vector_columns(header, "f")
+    if len(pcols) != len(vcols) or len(ufcols) != len(fcols):
+        raise ValueError(f"{users_path}: {len(pcols)} preference and {len(ufcols)} factor "
+                         f"columns, but {items_path} has {len(vcols)} and {len(fcols)}")
     user_topic = np.array([int(r[1]) for r in rows])
-    user_pref = np.array([[float(v) for v in r[2:2 + d]] for r in rows])
-    user_factor = np.array([[float(v) for v in r[2 + d:2 + d + fd]] for r in rows])
+    user_pref = np.array([[float(r[i]) for i in pcols] for r in rows])
+    user_factor = np.array([[float(r[i]) for i in ufcols] for r in rows])
 
     with open(os.path.join(dirpath, "impressions.csv")) as f:
         rows = list(csv.reader(f))[1:]
@@ -385,7 +386,8 @@ def load_corpus(dirpath, config=None):
                           "n_users": user_pref.shape[0],
                           "n_items": n_items,
                           "n_impressions": n,
-                          "content_dim": item_content.shape[1]})
+                          "content_dim": len(vcols),
+                          "factor_dim": len(fcols)})
     return Corpus(
         config=cfg,
         item_content=item_content, item_age=item_age,

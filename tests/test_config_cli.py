@@ -1,12 +1,14 @@
 """Run configuration parsing/precedence and the command line pipeline."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gatesid import cli, config, evalkit, rqvae
+from gatesid import cli, config, evalkit, rqvae, synthcorpus, train
+from gatesid.model import ModelConfig, make_variant
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,59 @@ def test_build_config_missing_file():
 def test_model_overrides_derive_item_dim():
     rc = config.build_config(None, ["rq_levels=3", "d_token=8"])
     assert config.model_overrides(rc)["d_item"] == 24
+
+
+# RunConfig keys that no per-module view reads: the seed, artifact paths and
+# settings the CLI applies itself
+RUN_LEVEL_KEYS = {"seed", "variant", "token_warm_start", "token_target_norm",
+                  "ablate_variants", "ablate_seeds"}
+# keys that two views read on purpose: the corpus and the quantizer share the
+# content width; the quantizer and the model share the SID shape
+SHARED_KEYS = {"content_dim", "rq_levels", "rq_codes"}
+
+
+class KeyRecorder:
+    """Stands in for a RunConfig and records every key read from it."""
+
+    def __init__(self, rc):
+        self._rc = rc
+        self.read = set()
+
+    def __getattr__(self, key):
+        self.read.add(key)
+        return getattr(self._rc, key)
+
+
+def test_config_views_wire_every_key():
+    views = {"corpus": config.corpus_config, "rqvae": config.rqvae_config,
+             "model": config.model_overrides, "train": config.train_config}
+    readers = {}
+    for name, view in views.items():
+        rec = KeyRecorder(config.RunConfig())
+        view(rec)
+        for key in rec.read:
+            readers.setdefault(key, set()).add(name)
+    fields = {f.name for f in dataclasses.fields(config.RunConfig)}
+    run_level = RUN_LEVEL_KEYS | {k for k in fields if k.endswith(("_path", "_dir",
+                                                                   "_json", "_csv"))}
+    assert set(readers) <= fields
+    assert not set(readers) & run_level
+    assert set(readers) | run_level == fields, "RunConfig keys no view reads"
+    for key, names in readers.items():
+        assert len(names) == (2 if key in SHARED_KEYS else 1), (key, names)
+    # the quantizer never takes the ranking model's training values
+    rc = config.build_config(None, ["epochs=7", "batch_size=64", "lr=0.5",
+                                    "weight_decay=0.25"])
+    rq = config.rqvae_config(rc)
+    assert (rq.epochs, rq.batch_size, rq.lr, rq.weight_decay) == (10, 256, 1e-3, 0.0)
+
+
+def test_config_view_defaults_match_module_defaults():
+    rc = config.RunConfig()
+    assert config.corpus_config(rc) == synthcorpus.CorpusConfig()
+    assert config.rqvae_config(rc) == rqvae.RqVaeConfig()
+    assert config.train_config(rc) == train.TrainConfig()
+    assert make_variant("full", **config.model_overrides(rc)) == ModelConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +260,13 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert code == 0
     assert file_hash(str(tmp_path / "model.ckpt")) == h1
 
+    # a checkpoint with bytes after its last array is refused
+    with open(tmp_path / "model.ckpt", "ab") as f:
+        f.write(b"garbage")
+    code, _, err = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 1
+    assert "model.ckpt" in err and "trailing bytes" in err
+
 
 def test_encode_sids_requires_encoder_weights(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
@@ -217,6 +279,32 @@ def test_encode_sids_requires_encoder_weights(tmp_path, capsys):
     code, _, err = run_cli(capsys, "encode-sids", "--config", cfg)
     assert code == 1
     assert "lacks encoder weights" in err
+
+
+@pytest.mark.parametrize("case, item_ids, first_bad", [
+    ("missing", np.r_[1:141], "[141, 142, 143, 144, 145]"),  # last 10 rows dropped
+    ("duplicate", np.r_[1:151, 7, 9], "[7, 9]"),
+    ("out-of-range", np.r_[1:152], "[151]"),
+], ids=["missing", "duplicate", "out-of-range"])
+def test_train_rejects_bad_sid_table(tmp_path, capsys, case, item_ids, first_bad):
+    cfg = write_tiny_config(tmp_path)
+    code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
+    assert code == 0
+    rqvae.save_sid_table(str(tmp_path / "sids.csv"), item_ids,
+                         np.zeros((item_ids.size, 3), dtype=np.int64))
+    code, _, err = run_cli(capsys, "train", "--config", cfg)
+    assert code == 1
+    assert "sids.csv" in err and f"{case} item ids {first_bad}" in err
+
+
+def test_train_rqvae_rejects_content_width_mismatch(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
+    assert code == 0
+    # the corpus on disk is 16 wide; a run config that says 8 must not slice it
+    code, _, err = run_cli(capsys, "train-rqvae", "--config", cfg, "--set", "content_dim=8")
+    assert code == 1
+    assert "(N, 8)" in err
 
 
 def test_ablate_command_degenerate(tmp_path, capsys):

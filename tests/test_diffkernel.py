@@ -329,6 +329,10 @@ def test_load_arrays_truncated_file(tmp_path):
         f.write(data[:-8])
     with pytest.raises(IOError):
         dk.load_arrays(path)
+    with open(path, "wb") as f:
+        f.write(data + b"garbage")
+    with pytest.raises(IOError, match="trailing bytes"):
+        dk.load_arrays(path)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

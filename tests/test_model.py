@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import gatesid.diffkernel as dk
-from gatesid.model import (GateSidModel, ModelConfig, VARIANTS, fuse_attention,
-                           intra_attention, make_variant, pool_sequences,
+from gatesid.model import (GateSidModel, ModelConfig, VARIANTS, make_variant,
                            token_init_from_codebook)
 
 
@@ -100,36 +99,36 @@ def test_gate_input_variants():
 
 
 # ---------------------------------------------------------------------------
-# attention / fusion / pooling building blocks
+# attention / fusion / pooling building blocks, at batch size 1
+
+
+def attention_at_b1(e, seq, mask, d):
+    """Attention distribution of one target over one sequence through the
+    model's own attention, with identity projections of width d."""
+    model = tiny_model(attn_dim=d)
+    model.params["attn.wq_item"] = dk.constant(np.eye(d))
+    model.params["attn.wk_item"] = dk.constant(np.eye(d))
+    return model._attention(dk.constant(e[None, :]), dk.constant(seq[None, :, :]),
+                            "attn.wq_item", "attn.wk_item", np.asarray(mask)[None, :])
 
 
 def test_intra_attention_uniform_when_keys_equal():
-    d = 4
-    e = dk.constant(np.ones((1, d)))
-    seq = dk.constant(np.tile(np.ones(d), (3, 1)))
-    wq = dk.constant(np.eye(d))
-    wk = dk.constant(np.eye(d))
-    s = intra_attention(e, seq, wq, wk, np.array([True, True, True]))
+    s = attention_at_b1(np.ones(4), np.ones((3, 4)), [True, True, True], 4)
     assert s.values[0] == pytest.approx(np.full(3, 1 / 3), abs=1e-12)
 
 
 def test_intra_attention_single_unmasked_position():
-    e = dk.constant(np.random.default_rng(0).normal(size=(1, 4)))
-    seq = dk.constant(np.random.default_rng(1).normal(size=(3, 4)))
-    wq = dk.constant(np.eye(4))
-    wk = dk.constant(np.eye(4))
-    s = intra_attention(e, seq, wq, wk, np.array([False, True, False]))
+    e = np.random.default_rng(0).normal(size=4)
+    seq = np.random.default_rng(1).normal(size=(3, 4))
+    s = attention_at_b1(e, seq, [False, True, False], 4)
     assert s.values[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
 
 def test_intra_attention_hand_case():
     # 2 positions, 2 dims, identity projections: scores are plain dot
     # products scaled by 1/sqrt(2)
-    e = dk.constant(np.array([[1.0, 0.0]]))
-    seq = dk.constant(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    wq = dk.constant(np.eye(2))
-    wk = dk.constant(np.eye(2))
-    s = intra_attention(e, seq, wq, wk, np.array([True, True]))
+    s = attention_at_b1(np.array([1.0, 0.0]), np.array([[2.0, 0.0], [0.0, 3.0]]),
+                        [True, True], 2)
     z = np.array([2.0, 0.0]) / np.sqrt(2.0)
     want = np.exp(z - z.max())
     want /= want.sum()
@@ -137,45 +136,52 @@ def test_intra_attention_hand_case():
 
 
 def test_intra_attention_fully_masked_raises():
-    e = dk.constant(np.zeros((1, 2)))
-    seq = dk.constant(np.zeros((2, 2)))
-    wq = dk.constant(np.eye(2))
+    scores = dk.constant(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        intra_attention(e, seq, wq, wq, np.array([False, False]))
+        dk.row_softmax(scores, mask=np.array([[False, False]]))
+    # the model allows an all-pad history: its row attends to nothing
+    s = attention_at_b1(np.zeros(2), np.zeros((2, 2)), [False, False], 2)
+    assert np.array_equal(s.values, np.zeros((1, 2)))
 
 
 def test_fuse_attention_boundaries_and_convexity():
     s_sid = dk.constant(np.array([[1.0, 0.0]]))
     s_item = dk.constant(np.array([[0.0, 1.0]]))
-    assert np.array_equal(fuse_attention(s_sid, s_item, 1.0).values, s_sid.values)
-    assert np.array_equal(fuse_attention(s_sid, s_item, 0.0).values, s_item.values)
-    assert fuse_attention(s_sid, s_item, 0.3).values[0] == pytest.approx([0.3, 0.7])
+
+    def fuse(a, b, w):  # the convex combination forward() applies
+        w = dk.constant(np.array([[w]]))
+        return dk.add(dk.scale_rows(a, w), dk.scale_rows(b, dk.affine(w, -1.0, 1.0)))
+
+    assert np.array_equal(fuse(s_sid, s_item, 1.0).values, s_sid.values)
+    assert np.array_equal(fuse(s_sid, s_item, 0.0).values, s_item.values)
+    assert fuse(s_sid, s_item, 0.3).values[0] == pytest.approx([0.3, 0.7])
     with pytest.raises(dk.ShapeError):
-        fuse_attention(s_sid, dk.constant(np.zeros((1, 3))), 0.5)
+        fuse(s_sid, dk.constant(np.zeros((1, 3))), 0.5)
 
 
 def test_pool_sequences_selection_mean_permutation():
     rng = np.random.default_rng(2)
-    h_sid = dk.constant(rng.normal(size=(4, 3)))
-    h_item = dk.constant(rng.normal(size=(4, 5)))
-    onehot = dk.constant(np.array([[0.0, 0.0, 1.0, 0.0]]))
-    p_sid, p_item = pool_sequences(onehot, h_sid, h_item)
-    assert np.array_equal(p_sid.values[0], h_sid.values[2])
-    assert np.array_equal(p_item.values[0], h_item.values[2])
+    h_sid = dk.constant(rng.normal(size=(1, 4, 3)))
+    h_item = dk.constant(rng.normal(size=(1, 4, 5)))
 
-    uniform = dk.constant(np.full((1, 4), 0.25))
-    p_sid, p_item = pool_sequences(uniform, h_sid, h_item)
-    assert p_sid.values[0] == pytest.approx(h_sid.values.mean(axis=0))
-    assert p_item.values[0] == pytest.approx(h_item.values.mean(axis=0))
+    def pool(s, hs=h_sid, hi=h_item):  # one distribution pools both sequences
+        return dk.attention_pool(s, hs).values[0], dk.attention_pool(s, hi).values[0]
+
+    p_sid, p_item = pool(dk.constant(np.array([[0.0, 0.0, 1.0, 0.0]])))
+    assert np.array_equal(p_sid, h_sid.values[0, 2])
+    assert np.array_equal(p_item, h_item.values[0, 2])
+
+    p_sid, p_item = pool(dk.constant(np.full((1, 4), 0.25)))
+    assert p_sid == pytest.approx(h_sid.values[0].mean(axis=0))
+    assert p_item == pytest.approx(h_item.values[0].mean(axis=0))
 
     s = dk.constant(rng.dirichlet(np.ones(4))[None, :])
     perm = rng.permutation(4)
-    a1, b1 = pool_sequences(s, h_sid, h_item)
-    a2, b2 = pool_sequences(dk.constant(s.values[:, perm]),
-                            dk.constant(h_sid.values[perm]),
-                            dk.constant(h_item.values[perm]))
-    assert a2.values == pytest.approx(a1.values, abs=1e-12)
-    assert b2.values == pytest.approx(b1.values, abs=1e-12)
+    a1, b1 = pool(s)
+    a2, b2 = pool(dk.constant(s.values[:, perm]), dk.constant(h_sid.values[:, perm]),
+                  dk.constant(h_item.values[:, perm]))
+    assert a2 == pytest.approx(a1, abs=1e-12)
+    assert b2 == pytest.approx(b1, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

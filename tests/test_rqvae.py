@@ -15,7 +15,7 @@ def test_kmeans_exact_cover():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
     cents = rqvae.kmeans_fit(pts, 4, iters=10, seed=0)
     # with N == K every point becomes its own centroid
-    assert rqvae.kmeans_inertia(pts, cents) == pytest.approx(0.0, abs=1e-12)
+    assert rqvae.nearest_code(pts, cents)[1].sum() == pytest.approx(0.0, abs=1e-12)
     got = {tuple(c) for c in cents}
     assert got == {tuple(p) for p in pts}
 
@@ -35,7 +35,7 @@ def test_kmeans_beats_random_assignment_baseline():
     # baseline: centroids are the means of a random 8-way partition
     assign = rng.integers(0, 8, size=100)
     base = np.stack([pts[assign == j].mean(axis=0) for j in range(8)])
-    assert rqvae.kmeans_inertia(pts, cents) <= rqvae.kmeans_inertia(pts, base)
+    assert rqvae.nearest_code(pts, cents)[1].sum() <= rqvae.nearest_code(pts, base)[1].sum()
 
 
 def test_kmeans_needs_enough_distinct_points():
@@ -57,8 +57,8 @@ def _random_codebook(seed=0, levels=3, k=6, dz=4):
 
 def test_encode_exact_code_hits_zero_residual():
     cb = _random_codebook()
-    z = cb.codes[0, 3].copy()
-    idx, res = rqvae.rq_encode(z, cb)
+    idx, res = rqvae.rq_encode_batch(cb.codes[0, 3][None, :], cb)
+    idx, res = idx[0], res[0]
     assert idx[0] == 3
     assert np.all(idx[1:] == 0)  # later levels pick the pinned zero code
     assert np.linalg.norm(res[-1]) == pytest.approx(0.0, abs=1e-12)
@@ -84,30 +84,28 @@ def test_encode_tie_breaks_to_lowest_index():
     codes[0, 1] = [-1.0, 0.0]
     codes[0, 2] = [0.0, 1.0]
     cb = rqvae.Codebook(codes)
-    idx, _ = rqvae.rq_encode(np.zeros(2), cb)  # equidistant from all three
-    assert idx[0] == 0
+    idx, _ = rqvae.rq_encode_batch(np.zeros((1, 2)), cb)  # equidistant from all three
+    assert idx[0, 0] == 0
+    near, dist = rqvae.nearest_code(np.zeros((1, 2)), codes[0])
+    assert near[0] == 0 and dist[0] == 1.0
 
 
 def test_decode_zero_codes_equals_level_one():
+    # the decoded sum is residuals[0] - residuals[-1], as train_rqvae uses it
     cb = _random_codebook()
-    out = rqvae.rq_decode(np.array([2, 0, 0]), cb)
-    assert np.array_equal(out, cb.codes[0, 2])
+    idx, res = rqvae.rq_encode_batch(cb.codes[0, 2][None, :], cb)
+    assert idx[0].tolist() == [2, 0, 0]
+    assert np.array_equal(res[0, 0] - res[0, -1], cb.codes[0, 2])
 
 
 def test_decode_plus_residual_recovers_input():
     cb = _random_codebook(seed=9)
-    rng = np.random.default_rng(13)
-    for z in rng.normal(size=(20, cb.latent_dim)):
-        idx, res = rqvae.rq_encode(z, cb)
-        assert rqvae.rq_decode(idx, cb) + res[-1] == pytest.approx(z, abs=1e-12)
-
-
-def test_decode_validates_indices():
-    cb = _random_codebook()
-    with pytest.raises(ValueError):
-        rqvae.rq_decode(np.array([0, 0]), cb)
-    with pytest.raises(IndexError):
-        rqvae.rq_decode(np.array([0, 0, 99]), cb)
+    z = np.random.default_rng(13).normal(size=(20, cb.latent_dim))
+    idx, res = rqvae.rq_encode_batch(z, cb)
+    decoded = res[:, 0] - res[:, -1]
+    picked = cb.codes[np.arange(cb.levels)[None, :], idx].sum(axis=1)
+    assert decoded == pytest.approx(picked, abs=1e-12)
+    assert decoded + res[:, -1] == pytest.approx(z, abs=1e-12)
 
 
 def test_monotone_refinement_with_pinned_zero(small_corpus, small_rq):

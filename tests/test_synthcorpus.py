@@ -1,6 +1,8 @@
 """Corpus generator invariants, statistical features against a brute-force
 tally, maturity buckets and the CSV roundtrip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,15 +130,13 @@ def test_item_stats_no_events_and_click_bound(small_corpus):
 def test_compute_stat_features_hand_tally(small_corpus):
     it = int(small_corpus.imp_item[10])
     day = int(small_corpus.imp_ts[10])
-    got = synthcorpus.compute_stat_features(small_corpus, it, day)
+    got = synthcorpus.impression_stat_features(small_corpus)[10]
     sel = ((small_corpus.imp_item == it)
            & (small_corpus.imp_ts > day - 7) & (small_corpus.imp_ts <= day))
     days_back = small_corpus.config.n_days - 1 - day
     assert got[0] == max(0, small_corpus.item_age[it - 1] - days_back)
     assert got[1] == sel.sum()
     assert got[2] == small_corpus.imp_click[sel].sum()
-    with pytest.raises(ValueError):
-        synthcorpus.compute_stat_features(small_corpus, it, small_corpus.config.n_days)
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +179,15 @@ def test_corpus_roundtrip(tmp_path, small_corpus):
                  "imp_hist", "imp_click", "imp_pay", "imp_ts"):
         assert np.array_equal(getattr(small_corpus, name), getattr(loaded, name)), name
     assert loaded.config.n_items == small_corpus.n_items
+
+
+def test_load_corpus_takes_widths_from_file(tmp_path, small_corpus):
+    synthcorpus.save_corpus(str(tmp_path), small_corpus)
+    cfg = small_corpus.config
+    narrow = dataclasses.replace(cfg, content_dim=cfg.content_dim // 2,
+                                 factor_dim=cfg.factor_dim // 2)
+    loaded = synthcorpus.load_corpus(str(tmp_path), narrow)
+    assert np.array_equal(loaded.item_content, small_corpus.item_content)
+    assert np.array_equal(loaded.user_factor, small_corpus.user_factor)
+    assert (loaded.config.content_dim, loaded.config.factor_dim) == (
+        cfg.content_dim, cfg.factor_dim)
