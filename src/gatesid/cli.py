@@ -63,6 +63,10 @@ def _load_sid_table(rc, n_items):
         if found.size:
             raise ValueError(f"{rc.sid_table_path}: {what} item ids {found[:5].tolist()} "
                              f"(the corpus has items 1..{n_items}, one row each)")
+    bad_code = ((sids < 0) | (sids >= rc.rq_codes)).any(axis=1)
+    if bad_code.any():
+        raise ValueError(f"{rc.sid_table_path}: SID codes outside [0, {rc.rq_codes}) at item ids "
+                         f"{np.sort(item_ids[bad_code])[:5].tolist()}")
     table = np.zeros((n_items + 1, sids.shape[1]), dtype=np.int64)
     table[item_ids] = sids
     return table

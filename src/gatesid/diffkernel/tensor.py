@@ -236,18 +236,31 @@ def concat(parts, axis=-1):
     return _make(np.concatenate([p.values for p in parts], axis=ax), parts, bw)
 
 
+def _check_rows(op, idx, n_rows):
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"{op}: index out of range for table with {n_rows} rows")
+
+
+def _scatter_rows(n_rows, idx, g):
+    """Row-indexed sum: out[idx[i]] += g[i] for the rows i of g (idx.size, D).
+
+    One bincount over idx * D + column; it adds in index order, as
+    ``np.add.at`` does, so the two agree bitwise.
+    """
+    d = g.shape[-1]
+    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
 def gather_rows(table, idx):
     """table[idx] for a 2-D table and an integer index array of any shape."""
     if table.values.ndim != 2:
         raise ShapeError("gather_rows", table.shape)
     idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for table with {table.shape[0]} rows")
+    _check_rows("gather_rows", idx, table.shape[0])
 
     def bw(g):
-        gt = np.zeros_like(table.values)
-        np.add.at(gt, idx.ravel(), g.reshape(-1, table.shape[1]))
-        _accum(table, gt)
+        _accum(table, _scatter_rows(table.shape[0], idx, g))
 
     return _make(table.values[idx], (table,), bw)
 
@@ -344,28 +357,35 @@ def row_softmax(x, mask=None, allow_empty=False):
     return _make(s, (x,), bw)
 
 
-def attention_scores(q, k):
-    """Per-row dot products: q (B,d), k (B,L,d) -> (B,L)."""
-    if q.values.ndim != 2 or k.values.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[1] != k.shape[2]:
-        raise ShapeError("attention_scores", q.shape, k.shape)
+def attention_scores(q, keys, idx):
+    """Dot products with row-indexed keys: q (B,d), keys (U,d), idx (B,L)
+    -> (B,L), out[b, l] = q[b] . keys[idx[b, l]]."""
+    idx = np.asarray(idx)
+    if (q.values.ndim != 2 or keys.values.ndim != 2 or q.shape[1] != keys.shape[1]
+            or idx.ndim != 2 or idx.shape[0] != q.shape[0]):
+        raise ShapeError("attention_scores", q.shape, keys.shape, idx.shape)
+    _check_rows("attention_scores", idx, keys.shape[0])
 
     def bw(g):
-        _accum(q, np.einsum("bl,bld->bd", g, k.values))
-        _accum(k, np.einsum("bl,bd->bld", g, q.values))
+        _accum(q, np.matmul(g[:, None, :], keys.values[idx])[:, 0])
+        _accum(keys, _scatter_rows(keys.shape[0], idx, g[:, :, None] * q.values[:, None, :]))
 
-    return _make(np.einsum("bd,bld->bl", q.values, k.values), (q, k), bw)
+    return _make(np.matmul(keys.values[idx], q.values[:, :, None])[:, :, 0], (q, keys), bw)
 
 
-def attention_pool(s, h):
-    """Weighted pooling: s (B,L), h (B,L,D) -> (B,D)."""
-    if s.values.ndim != 2 or h.values.ndim != 3 or s.shape != h.shape[:2]:
-        raise ShapeError("attention_pool", s.shape, h.shape)
+def attention_pool(s, rows, idx):
+    """Weighted pooling of row-indexed values: s (B,L), rows (U,D), idx (B,L)
+    -> (B,D), out[b] = sum_l s[b, l] * rows[idx[b, l]]."""
+    idx = np.asarray(idx)
+    if s.values.ndim != 2 or rows.values.ndim != 2 or idx.shape != s.shape:
+        raise ShapeError("attention_pool", s.shape, rows.shape, idx.shape)
+    _check_rows("attention_pool", idx, rows.shape[0])
 
     def bw(g):
-        _accum(s, np.einsum("bd,bld->bl", g, h.values))
-        _accum(h, np.einsum("bl,bd->bld", s.values, g))
+        _accum(s, np.matmul(rows.values[idx], g[:, :, None])[:, :, 0])
+        _accum(rows, _scatter_rows(rows.shape[0], idx, s.values[:, :, None] * g[:, None, :]))
 
-    return _make(np.einsum("bl,bld->bd", s.values, h.values), (s, h), bw)
+    return _make(np.matmul(s.values[:, None, :], rows.values[idx])[:, 0], (s, rows), bw)
 
 
 def scale_rows(s, w):

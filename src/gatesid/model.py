@@ -206,18 +206,39 @@ class GateSidModel:
         h = dk.relu(dk.linear(gin, self.params["gate.w1"], self.params["gate.b1"]))
         return dk.sigmoid(dk.linear(h, self.params["gate.w2"], self.params["gate.b2"]))
 
-    def _attention(self, e_target, seq, wq, wk, mask):
+    def _attention(self, e_target, rows, idx, wq, wk, mask):
+        """Masked attention of each target over its history, whose slot
+        (b, l) holds row idx[b, l] of rows: keys are projected once per row."""
         q = dk.matmul(e_target, self.params[wq])
-        k = dk.matmul(seq, self.params[wk])
-        scores = dk.affine(dk.attention_scores(q, k), 1.0 / np.sqrt(self.cfg.attn_dim))
+        keys = dk.matmul(rows, self.params[wk])
+        scores = dk.affine(dk.attention_scores(q, keys, idx), 1.0 / np.sqrt(self.cfg.attn_dim))
         return dk.row_softmax(scores, mask=mask, allow_empty=True)
+
+    def _pool_history(self, hist_ids, e_item, e_sid, w):
+        """Gated fused attention over the history; returns the pooled
+        (SID, item) vectors. Each distinct history id in the batch, pad
+        included, is embedded once; slots index those rows."""
+        uniq, idx = np.unique(hist_ids, return_inverse=True)
+        idx = idx.reshape(hist_ids.shape)
+        h_item_rows = dk.gather_rows(self.params["item_emb"], uniq)
+        h_sid_rows = self.sid_embed(self.sid_table[uniq])
+        mask = hist_ids > 0
+
+        s_item = self._attention(e_item, h_item_rows, idx, "attn.wq_item", "attn.wk_item", mask)
+        if self.cfg.variant == "no_gfsa":
+            s_fused = s_item
+        else:
+            s_sid = self._attention(e_sid, h_sid_rows, idx, "attn.wq_sid", "attn.wk_sid", mask)
+            s_fused = dk.add(dk.scale_rows(s_sid, w),
+                             dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
+        return (dk.attention_pool(s_fused, h_sid_rows, idx),
+                dk.attention_pool(s_fused, h_item_rows, idx))
 
     # -- forward ---------------------------------------------------------------
 
     def forward(self, batch):
         """batch: dict with target_ids (B,), hist_ids (B,L), user_ids (B,),
         stats_raw (B,n_stat). Returns a dict of Tensors."""
-        cfg = self.cfg
         target_ids = np.asarray(batch["target_ids"])
         hist_ids = np.asarray(batch["hist_ids"])
         user_ids = np.asarray(batch["user_ids"])
@@ -228,22 +249,8 @@ class GateSidModel:
         e_item = dk.gather_rows(self.params["item_emb"], target_ids)
         e_sid = self.sid_embed(self.sid_table[target_ids])
         e_user = dk.gather_rows(self.params["user_emb"], user_ids)
-        h_item_seq = dk.gather_rows(self.params["item_emb"], hist_ids)
-        h_sid_seq = self.sid_embed(self.sid_table[hist_ids])
-        mask = hist_ids > 0
-
         w = self.gate_weight(e_item, stats_norm)
-
-        s_item = self._attention(e_item, h_item_seq, "attn.wq_item", "attn.wk_item", mask)
-        if cfg.variant == "no_gfsa":
-            s_fused = s_item
-        else:
-            s_sid = self._attention(e_sid, h_sid_seq, "attn.wq_sid", "attn.wk_sid", mask)
-            s_fused = dk.add(dk.scale_rows(s_sid, w),
-                             dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
-
-        h_sid = dk.attention_pool(s_fused, h_sid_seq)
-        h_item = dk.attention_pool(s_fused, h_item_seq)
+        h_sid, h_item = self._pool_history(hist_ids, e_item, e_sid, w)
 
         head_in = dk.concat([h_sid, h_item, e_sid, e_item,
                              dk.constant(stats_norm), e_user], axis=-1)

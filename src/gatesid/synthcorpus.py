@@ -342,7 +342,8 @@ def _vector_columns(header, prefix):
 
 def load_corpus(dirpath, config=None):
     """Read a saved corpus. Vector widths come from the CSV headers; the
-    config supplies the history length and the generator settings."""
+    config supplies the history length (a stored history longer than it is
+    an error) and the generator settings."""
     import os
     config = config or CorpusConfig()
 
@@ -368,7 +369,8 @@ def load_corpus(dirpath, config=None):
     user_pref = np.array([[float(r[i]) for i in pcols] for r in rows])
     user_factor = np.array([[float(r[i]) for i in ufcols] for r in rows])
 
-    with open(os.path.join(dirpath, "impressions.csv")) as f:
+    imp_path = os.path.join(dirpath, "impressions.csv")
+    with open(imp_path) as f:
         rows = list(csv.reader(f))[1:]
     n = len(rows)
     imp_user = np.array([int(r[0]) for r in rows])
@@ -379,7 +381,10 @@ def load_corpus(dirpath, config=None):
     imp_hist = np.zeros((n, config.l_max), dtype=np.int64)
     for i, r in enumerate(rows):
         if r[2]:
-            h = [int(v) for v in r[2].split("|")][-config.l_max:]
+            h = [int(v) for v in r[2].split("|")]
+            if len(h) > config.l_max:
+                raise ValueError(f"{imp_path} line {i + 2}: history of {len(h)} items "
+                                 f"is longer than l_max={config.l_max}")
             imp_hist[i, -len(h):] = h
 
     cfg = CorpusConfig(**{**config.__dict__,

@@ -94,6 +94,7 @@ def test_criterion_01_gradient_suite():
     k3 = rng.normal(size=(2, 5, 4))
     s2 = rng.normal(size=(2, 5))
     h3 = rng.normal(size=(2, 5, 6))
+    slots = np.arange(2 * 5).reshape(2, 5)
     w2 = rng.normal(size=(2, 1))
     sq = rng.normal(size=(4, 4))
     y = (rng.uniform(size=(3, 4)) > 0.5).astype(float)
@@ -122,9 +123,9 @@ def test_criterion_01_gradient_suite():
         "mean": check("q", lambda x: dk.tmean(dk.square(x)), [a]),
         "softmax": check("r", lambda x: dk.tsum(dk.square(dk.row_softmax(x))), [a]),
         "attn_scores": check("s", lambda x, z: dk.tsum(dk.square(
-            dk.attention_scores(x, z))), [q, k3]),
+            dk.attention_scores(x, z, slots))), [q, k3.reshape(-1, 4)]),
         "attn_pool": check("t", lambda x, z: dk.tsum(dk.square(
-            dk.attention_pool(x, z))), [s2, h3]),
+            dk.attention_pool(x, z, slots))), [s2, h3.reshape(-1, 6)]),
         "scale_rows": check("u", lambda x, z: dk.tsum(dk.square(
             dk.scale_rows(x, z))), [s2, w2]),
         "cosine": check("v", lambda x, z: dk.tsum(dk.square(
@@ -176,13 +177,14 @@ def test_criterion_02_attention_invariants():
 
     h_sid = dk.constant(rng.normal(size=(n, L, d)))
     h_item = dk.constant(rng.normal(size=(n, L, d)))
-    pooled_sid = dk.attention_pool(s_fused, h_sid)
-    pooled_item = dk.attention_pool(s_fused, h_item)
+    slots = np.arange(n * L).reshape(n, L)
+    pooled_sid = dk.attention_pool(s_fused, dk.constant(h_sid.values.reshape(-1, d)), slots)
+    pooled_item = dk.attention_pool(s_fused, dk.constant(h_item.values.reshape(-1, d)), slots)
     perm = rng.permutation(L)
     pooled_sid_p = dk.attention_pool(dk.constant(s_fused.values[:, perm]),
-                                     dk.constant(h_sid.values[:, perm]))
+                                     dk.constant(h_sid.values[:, perm].reshape(-1, d)), slots)
     pooled_item_p = dk.attention_pool(dk.constant(s_fused.values[:, perm]),
-                                      dk.constant(h_item.values[:, perm]))
+                                      dk.constant(h_item.values[:, perm].reshape(-1, d)), slots)
     perm_err = max(np.abs(pooled_sid.values - pooled_sid_p.values).max(),
                    np.abs(pooled_item.values - pooled_item_p.values).max())
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,20 +282,38 @@ def test_encode_sids_requires_encoder_weights(tmp_path, capsys):
     assert "lacks encoder weights" in err
 
 
-@pytest.mark.parametrize("case, item_ids, first_bad", [
-    ("missing", np.r_[1:141], "[141, 142, 143, 144, 145]"),  # last 10 rows dropped
-    ("duplicate", np.r_[1:151, 7, 9], "[7, 9]"),
-    ("out-of-range", np.r_[1:152], "[151]"),
-], ids=["missing", "duplicate", "out-of-range"])
-def test_train_rejects_bad_sid_table(tmp_path, capsys, case, item_ids, first_bad):
+@pytest.mark.parametrize("item_ids, bad_codes, message", [
+    # last 10 rows dropped
+    (np.r_[1:141], [], "missing item ids [141, 142, 143, 144, 145]"),
+    (np.r_[1:151, 7, 9], [], "duplicate item ids [7, 9]"),
+    (np.r_[1:152], [], "out-of-range item ids [151]"),
+    # (item id, level, code) at rq_codes=8; seven bad items, the first five named
+    (np.r_[1:151], [(90, 0, 99), (12, 2, 8), (40, 1, -1), (5, 0, 8), (77, 1, 9),
+                    (120, 2, 50), (150, 0, 8)],
+     "SID codes outside [0, 8) at item ids [5, 12, 40, 77, 90]"),
+], ids=["missing", "duplicate", "out-of-range", "bad-code"])
+def test_train_rejects_bad_sid_table(tmp_path, capsys, item_ids, bad_codes, message):
     cfg = write_tiny_config(tmp_path)
     code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
     assert code == 0
-    rqvae.save_sid_table(str(tmp_path / "sids.csv"), item_ids,
-                         np.zeros((item_ids.size, 3), dtype=np.int64))
+    sids = np.zeros((item_ids.size, 3), dtype=np.int64)
+    for item, level, value in bad_codes:
+        sids[item - 1, level] = value  # row i holds item i + 1 in this case
+    rqvae.save_sid_table(str(tmp_path / "sids.csv"), item_ids, sids)
     code, _, err = run_cli(capsys, "train", "--config", cfg)
     assert code == 1
-    assert "sids.csv" in err and f"{case} item ids {first_bad}" in err
+    assert "sids.csv" in err and message in err
+
+
+def test_train_rejects_history_longer_than_l_max(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)  # corpus histories up to l_max=8
+    for cmd in ("gen-data", "train-rqvae", "encode-sids"):
+        code, _, _ = run_cli(capsys, cmd, "--config", cfg, "--seed", "3")
+        assert code == 0
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "l_max=4")
+    assert code == 1
+    assert re.search(r"impressions\.csv line \d+: history of [5-8] items is longer than "
+                     r"l_max=4", err), err
 
 
 def test_train_rqvae_rejects_content_width_mismatch(tmp_path, capsys):

@@ -133,6 +133,17 @@ def test_gather_rows_grads_with_repeats():
     fd_check(lambda t: dk.tsum(dk.square(dk.gather_rows(t, idx))), [table])
 
 
+def test_gather_rows_backward_equals_add_at_bitwise():
+    table = dk.Tensor(RNG.normal(size=(6, 5)), requires_grad=True)
+    idx = RNG.integers(0, 6, size=(40, 3))
+    g = RNG.normal(size=(40, 3, 5))
+    with dk.Tape() as tape:
+        dk.backward(dk.tsum(dk.mul(dk.gather_rows(table, idx), dk.constant(g))), tape)
+    want = np.zeros((6, 5))
+    np.add.at(want, idx.ravel(), g.reshape(-1, 5))
+    assert np.array_equal(table.grad, want)
+
+
 def test_gather_rows_out_of_range():
     with pytest.raises(IndexError):
         dk.gather_rows(dk.constant(np.zeros((3, 2))), np.array([3]))
@@ -191,9 +202,47 @@ def test_attention_ops_grads():
     s = RNG.normal(size=(3, 5))
     h = RNG.normal(size=(3, 5, 6))
     w = RNG.normal(size=(3, 1))
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_scores(a, b))), [q, k])
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_pool(a, b))), [s, h])
+    slots = np.arange(3 * 5).reshape(3, 5)
+    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_scores(a, b, slots))),
+             [q, k.reshape(-1, 4)])
+    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_pool(a, b, slots))),
+             [s, h.reshape(-1, 6)])
     fd_check(lambda a, b: dk.tsum(dk.square(dk.scale_rows(a, b))), [s, w])
+
+
+def test_row_indexed_attention_grads_with_repeats_and_pad():
+    # row 0 plays the pad id; rows repeat within and across batch rows,
+    # and row 3 is indexed by no slot (its gradient must be zero)
+    idx = np.array([[0, 0, 1, 2], [2, 2, 2, 0], [1, 4, 1, 4]])
+    q = RNG.normal(size=(3, 4))
+    keys = RNG.normal(size=(5, 4))
+    s = RNG.normal(size=(3, 4))
+    rows = RNG.normal(size=(5, 6))
+    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_scores(a, b, idx))), [q, keys])
+    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_pool(a, b, idx))), [s, rows])
+
+    got_s = dk.attention_scores(dk.constant(q), dk.constant(keys), idx).values
+    assert np.allclose(got_s, np.einsum("bd,bld->bl", q, keys[idx]), rtol=0, atol=1e-14)
+    got_p = dk.attention_pool(dk.constant(s), dk.constant(rows), idx).values
+    assert np.allclose(got_p, np.einsum("bl,bld->bd", s, rows[idx]), rtol=0, atol=1e-14)
+
+    r = dk.Tensor(rows, requires_grad=True)
+    with dk.Tape() as tape:
+        dk.backward(dk.tsum(dk.attention_pool(dk.constant(s), r, idx)), tape)
+    assert np.all(r.grad[3] == 0.0)
+
+
+def test_row_indexed_attention_shape_and_range_errors():
+    q = dk.constant(np.zeros((2, 3)))
+    keys = dk.constant(np.zeros((4, 3)))
+    with pytest.raises(dk.ShapeError):
+        dk.attention_scores(q, keys, np.zeros((3, 5), dtype=np.int64))
+    with pytest.raises(dk.ShapeError):
+        dk.attention_pool(dk.constant(np.zeros((2, 5))), keys, np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(IndexError):
+        dk.attention_scores(q, keys, np.array([[0, 4], [1, 2]]))
+    with pytest.raises(IndexError):
+        dk.attention_pool(dk.constant(np.zeros((2, 2))), keys, np.array([[0, -1], [1, 2]]))
 
 
 def test_cosine_matrix_grads_and_values():

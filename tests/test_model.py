@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gatesid.diffkernel as dk
+from gatesid.diffkernel.tensor import _accum, _make
 from gatesid.model import (GateSidModel, ModelConfig, VARIANTS, make_variant,
                            token_init_from_codebook)
 
@@ -17,7 +18,7 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def tiny_model(variant="full", n_items=6, n_users=3, seed=0, **overrides):
+def tiny_model(variant="full", n_items=6, n_users=3, seed=0, cls=GateSidModel, **overrides):
     cfg = make_variant(variant, **{**dict(sid_levels=3, sid_codes=8, d_token=4,
                                           d_item=12, d_user=4, attn_dim=4,
                                           gate_hidden=4, head_hidden1=8,
@@ -25,7 +26,7 @@ def tiny_model(variant="full", n_items=6, n_users=3, seed=0, **overrides):
     rng = np.random.default_rng(99)
     table = np.zeros((n_items + 1, 3), dtype=np.int64)
     table[1:] = rng.integers(0, 8, size=(n_items, 3))
-    return GateSidModel(n_items, n_users, table, cfg, seed=seed)
+    return cls(n_items, n_users, table, cfg, seed=seed)
 
 
 def tiny_batch(model, seed=1, b=4):
@@ -108,7 +109,10 @@ def attention_at_b1(e, seq, mask, d):
     model = tiny_model(attn_dim=d)
     model.params["attn.wq_item"] = dk.constant(np.eye(d))
     model.params["attn.wk_item"] = dk.constant(np.eye(d))
-    return model._attention(dk.constant(e[None, :]), dk.constant(seq[None, :, :]),
+    seq = seq[None, :, :]
+    b, n, _ = seq.shape
+    return model._attention(dk.constant(e[None, :]), dk.constant(seq.reshape(-1, d)),
+                            np.arange(b * n).reshape(b, n),
                             "attn.wq_item", "attn.wk_item", np.asarray(mask)[None, :])
 
 
@@ -165,7 +169,12 @@ def test_pool_sequences_selection_mean_permutation():
     h_item = dk.constant(rng.normal(size=(1, 4, 5)))
 
     def pool(s, hs=h_sid, hi=h_item):  # one distribution pools both sequences
-        return dk.attention_pool(s, hs).values[0], dk.attention_pool(s, hi).values[0]
+        b, n, _ = hs.shape
+        slots = np.arange(b * n).reshape(b, n)
+        return (dk.attention_pool(s, dk.constant(hs.values.reshape(-1, hs.shape[2])),
+                                  slots).values[0],
+                dk.attention_pool(s, dk.constant(hi.values.reshape(-1, hi.shape[2])),
+                                  slots).values[0])
 
     p_sid, p_item = pool(dk.constant(np.array([[0.0, 0.0, 1.0, 0.0]])))
     assert np.array_equal(p_sid, h_sid.values[0, 2])
@@ -240,6 +249,88 @@ def test_zero_pad_grads_freezes_pad_row():
         dk.backward(loss, tape)
     model.zero_pad_grads()
     assert np.all(model.params["item_emb"].grad[0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# deduplicated history path against the per-slot formulation
+
+
+def slot_scores(q, k):
+    """Per-slot dot products: q (B,d), k (B,L,d) -> (B,L)."""
+
+    def bw(g):
+        _accum(q, np.einsum("bl,bld->bd", g, k.values))
+        _accum(k, np.einsum("bl,bd->bld", g, q.values))
+
+    return _make(np.einsum("bd,bld->bl", q.values, k.values), (q, k), bw)
+
+
+def slot_pool(s, h):
+    """Per-slot weighted pooling: s (B,L), h (B,L,D) -> (B,D)."""
+
+    def bw(g):
+        _accum(s, np.einsum("bd,bld->bl", g, h.values))
+        _accum(h, np.einsum("bl,bd->bld", s.values, g))
+
+    return _make(np.einsum("bl,bld->bd", s.values, h.values), (s, h), bw)
+
+
+class PerSlotModel(GateSidModel):
+    """Oracle: every history slot gathers its own item and SID rows,
+    concatenates its SID rows and projects its own keys."""
+
+    def _pool_history(self, hist_ids, e_item, e_sid, w):
+        h_item_seq = dk.gather_rows(self.params["item_emb"], hist_ids)
+        h_sid_seq = self.sid_embed(self.sid_table[hist_ids])
+        mask = hist_ids > 0
+
+        def attention(e_target, seq, wq, wk):
+            q = dk.matmul(e_target, self.params[wq])
+            k = dk.matmul(seq, self.params[wk])
+            scores = dk.affine(slot_scores(q, k), 1.0 / np.sqrt(self.cfg.attn_dim))
+            return dk.row_softmax(scores, mask=mask, allow_empty=True)
+
+        s_item = attention(e_item, h_item_seq, "attn.wq_item", "attn.wk_item")
+        if self.cfg.variant == "no_gfsa":
+            s_fused = s_item
+        else:
+            s_sid = attention(e_sid, h_sid_seq, "attn.wq_sid", "attn.wk_sid")
+            s_fused = dk.add(dk.scale_rows(s_sid, w),
+                             dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
+        return slot_pool(s_fused, h_sid_seq), slot_pool(s_fused, h_item_seq)
+
+
+def loss_and_grads(model, batch):
+    with dk.Tape() as tape:
+        total, _ = model.loss(batch)
+        dk.backward(total, tape)
+    out = model.forward(batch)
+    return out, {k: p.grad for k, p in model.params.items()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dedup_history_matches_per_slot_oracle(variant):
+    model = tiny_model(variant)
+    oracle = tiny_model(variant, cls=PerSlotModel)
+    rng = np.random.default_rng(12)
+    # heavy id repetition within and across rows, an all-pad row, and
+    # targets that also sit in their own history
+    batch = {
+        "target_ids": np.array([1, 2, 3, 2, 1, 4]),
+        "hist_ids": np.array([[1, 1, 2, 1, 2], [0, 0, 0, 0, 0], [0, 2, 2, 2, 3],
+                              [3, 1, 3, 1, 3], [0, 0, 1, 1, 1], [2, 2, 2, 2, 2]]),
+        "user_ids": rng.integers(0, model.n_users, size=6),
+        "stats_raw": rng.uniform(0, 40, size=(6, 3)),
+        "click": np.array([1, 0, 1, 1, 0, 0]),
+        "pay": np.array([1, 0, 0, 1, 0, 0]),
+    }
+    out, grads = loss_and_grads(model, batch)
+    want_out, want_grads = loss_and_grads(oracle, batch)
+    for k in ("pctr", "pctcvr", "w", "e_sid", "e_item"):
+        np.testing.assert_allclose(out[k].values, want_out[k].values, rtol=0, atol=1e-12)
+    for k in model.trainable_params():
+        assert want_grads[k] is not None, k
+        np.testing.assert_allclose(grads[k], want_grads[k], rtol=0, atol=1e-12, err_msg=k)
 
 
 # ---------------------------------------------------------------------------
