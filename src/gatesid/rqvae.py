@@ -61,15 +61,64 @@ class Codebook:
 # nearest-code search and k-means
 
 
+_ROW_CHUNK = 1024          # rows per GEMM block: extra memory is O(_ROW_CHUNK * K)
+_RERANK_ELEMS = 1 << 17    # float64s per exact re-rank block (1 MiB)
+
+
 def nearest_code(x, codes):
     """Nearest row of ``codes`` (K, d) for each row of ``x`` (N, d) by squared
-    Euclidean distance, ties going to the lowest index.
+    Euclidean distance ``((x - c) ** 2).sum(-1)``, ties going to the lowest
+    index.
+
+    A GEMM shortlist, ``|x|^2 - 2 x.c + |c|^2`` over blocks of rows, picks
+    the code; rows whose runner-up lies within the rounding error bound of
+    the minimum are re-ranked with the exact formula. The result equals the
+    argmin of the exact formula over all codes, bit for bit.
 
     Returns (indices (N,), squared distance to the chosen code (N,)).
     """
-    d = ((x[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-    idx = d.argmin(axis=1)
-    return idx, d[np.arange(x.shape[0]), idx]
+    n = x.shape[0]
+    k, d = codes.shape
+    cc = (codes * codes).sum(axis=1)
+    fin = np.finfo(cc.dtype)
+    # Rounding bound, with u = eps/2 and S = |x| + max|c| (>= |x| + |c| for
+    # every code). Each of the dot products |x|^2, x.c and |c|^2 is off by at
+    # most gamma_d = d*u/(1 - d*u) times |x|^2, |x||c| and |c|^2 in any
+    # summation order (FMA included), so together they move the GEMM distance
+    # by gamma_d*S^2; its two additions round at most u*S^2 each, giving
+    # (d + 2)*u*S^2. The exact formula rounds the difference, the square and
+    # d - 1 additions of non-negative terms: (d + 2)*u*D <= (d + 2)*u*S^2.
+    # So each GEMM distance is within E = (d + 2)*eps*S^2 of the exact value
+    # it stands for, and any code other than the GEMM minimum whose GEMM
+    # distance exceeds the minimum by more than 2E is strictly farther under
+    # the exact formula too. The threshold 2*(d + 4)*eps*S^2 keeps 4*eps*S^2
+    # of slack for the O(d^2 u^2) terms and the rounding of S itself (enough
+    # for d far below 1/sqrt(u) ~ 1e8); ``tiny`` covers underflow, where each
+    # of the O(d) operations adds at most half a subnormal spacing. NaN and
+    # inf distances fail the test and go to the exact path.
+    c_max = np.sqrt(cc.max())
+    step = max(1, _RERANK_ELEMS // (k * d))
+    idx = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _ROW_CHUNK):
+        xs = x[lo:lo + _ROW_CHUNK]
+        xx = (xs * xs).sum(axis=1)
+        dist = xs @ codes.T
+        dist *= -2.0
+        dist += xx[:, None]
+        dist += cc
+        rows = np.arange(xs.shape[0])
+        best = dist.argmin(axis=1)
+        first = dist[rows, best]
+        dist[rows, best] = np.inf
+        second = dist.min(axis=1)  # inf when K == 1
+        bound = 2 * (d + 4) * fin.eps * (np.sqrt(xx) + c_max) ** 2 + fin.tiny
+        ambiguous = np.flatnonzero(~(second - first > bound))
+        for a in range(0, ambiguous.size, step):
+            sel = ambiguous[a:a + step]
+            exact = ((xs[sel, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
+            best[sel] = exact.argmin(axis=1)
+        idx[lo:lo + xs.shape[0]] = best
+    return idx, ((x - codes[idx]) ** 2).sum(axis=1)
 
 
 def kmeans_fit(vectors, k, iters=25, seed=0):
@@ -206,6 +255,10 @@ def train_rqvae(content_vectors, config=None, seed=0):
     x = np.asarray(content_vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.content_dim:
         raise ValueError(f"train_rqvae: expected (N, {config.content_dim}) content matrix")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"train_rqvae: content row {bad[0]} is not finite "
+                         f"({bad.size} non-finite rows)")
     rng = np.random.default_rng([seed, 0xC0DE])
     params = init_autoencoder(config, rng)
     opt = dk.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
@@ -222,7 +275,7 @@ def train_rqvae(content_vectors, config=None, seed=0):
         epoch_loss = 0.0
         epoch_counts = np.zeros((L, K), dtype=np.int64)
         last_residuals = None
-        for lo in range(0, n, config.batch_size):
+        for step, lo in enumerate(range(0, n, config.batch_size)):
             batch = x[order[lo:lo + config.batch_size]]
             with dk.Tape() as tape:
                 z = encode(params, dk.constant(batch))
@@ -235,7 +288,8 @@ def train_rqvae(content_vectors, config=None, seed=0):
                 commit = dk.tmean(dk.square(dk.sub(z, dk.constant(q))))
                 loss = dk.add(recon, dk.affine(commit, config.beta))
                 if not np.isfinite(loss.values):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                    raise DivergenceError(f"train_rqvae: non-finite loss "
+                                          f"at epoch {epoch} step {step}")
                 dk.backward(loss, tape)
             opt.step()
             opt.zero_grad()

@@ -8,6 +8,7 @@ import numpy as np
 from . import diffkernel as dk
 from . import synthcorpus
 from .model import GateSidModel, make_variant
+from .rqvae import DivergenceError
 
 log = logging.getLogger("gatesid.train")
 
@@ -59,15 +60,19 @@ def train_model(corpus, sid_table, variant="full", seed=0,
     for epoch in range(tc.epochs):
         order = train_idx[np.random.default_rng([seed, 7000 + epoch]).permutation(train_idx.size)]
         total = 0.0
-        for lo in range(0, order.size, tc.batch_size):
+        for step, lo in enumerate(range(0, order.size, tc.batch_size)):
             batch = make_batch(corpus, stats_raw, order[lo:lo + tc.batch_size])
             with dk.Tape() as tape:
                 loss, _ = model.loss(batch)
+                value = float(loss.values)
+                if not np.isfinite(value):  # before the step: keep NaN out of AdamW
+                    raise DivergenceError(f"variant {variant}: non-finite loss "
+                                          f"at epoch {epoch} step {step}")
                 dk.backward(loss, tape)
             model.zero_pad_grads()
             opt.step()
             opt.zero_grad()
-            total += float(loss.values) * len(batch["target_ids"])
+            total += value * len(batch["target_ids"])
         curve.append(total / order.size)
         log.info("variant=%s seed=%d epoch=%d loss=%.5f", variant, seed, epoch, curve[-1])
 

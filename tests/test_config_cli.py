@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gatesid import cli, config, evalkit, rqvae, synthcorpus, train
-from gatesid.model import ModelConfig, make_variant
+from gatesid import diffkernel as dk
+from gatesid.model import GateSidModel, ModelConfig, make_variant
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,51 @@ def test_train_rqvae_rejects_content_width_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train-rqvae", "--config", cfg, "--set", "content_dim=8")
     assert code == 1
     assert "(N, 8)" in err
+
+
+def nan_loss_at_step(monkeypatch, step):
+    """Make GateSidModel.loss return NaN on its call number ``step`` (from 0)."""
+    real_loss = GateSidModel.loss
+    calls = []
+
+    def loss(self, batch, contrast_w=None):
+        total, parts = real_loss(self, batch, contrast_w)
+        calls.append(1)
+        return (dk.affine(total, np.nan) if len(calls) == step + 1 else total), parts
+
+    monkeypatch.setattr(GateSidModel, "loss", loss)
+
+
+def test_train_model_stops_on_non_finite_loss(monkeypatch, small_corpus, small_sid_table):
+    nan_loss_at_step(monkeypatch, 2)
+    steps = []
+    real_step = dk.AdamW.step
+
+    def step(opt):
+        steps.append(1)
+        real_step(opt)
+
+    monkeypatch.setattr(dk.AdamW, "step", step)
+    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_item=12, d_user=4,
+                     attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
+    with pytest.raises(rqvae.DivergenceError,
+                       match="variant no_grca: non-finite loss at epoch 0 step 2"):
+        train.train_model(small_corpus, small_sid_table, variant="no_grca",
+                          model_overrides=overrides,
+                          train_config=train.TrainConfig(epochs=1, batch_size=128))
+    assert len(steps) == 2  # the NaN loss never reached the optimizer
+
+
+def test_train_command_exits_on_non_finite_loss(tmp_path, capsys, monkeypatch):
+    cfg = write_tiny_config(tmp_path)
+    for cmd in ("gen-data", "train-rqvae", "encode-sids"):
+        code, _, _ = run_cli(capsys, cmd, "--config", cfg, "--seed", "3")
+        assert code == 0
+    nan_loss_at_step(monkeypatch, 2)
+    code, out, err = run_cli(capsys, "train", "--config", cfg, "--seed", "3")
+    assert code == 1 and out == ""
+    assert "variant full: non-finite loss at epoch 0 step 2" in err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_ablate_command_degenerate(tmp_path, capsys):

@@ -1,10 +1,98 @@
-"""k-means, residual quantization identities, quantizer training and the
-codebook / SID-table artifacts."""
+"""Nearest-code search, k-means, residual quantization identities, quantizer
+training and the codebook / SID-table artifacts."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gatesid import diffkernel as dk
 from gatesid import rqvae
+
+
+# ---------------------------------------------------------------------------
+# nearest-code search
+
+
+def broadcast_nearest(x, codes):
+    """Oracle: the dense (N, K, d) squared distances, argmin to the lowest index."""
+    d = ((x[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
+    idx = d.argmin(axis=1)
+    return idx, d[np.arange(x.shape[0]), idx]
+
+
+NEAREST_CASES = ["random", "exact-hits", "duplicate-codes", "near-ties-1ulp",
+                 "offset-1e6", "many-chunks", "k1", "d1"]
+
+
+def _nearest_case(name):
+    rng = np.random.default_rng(NEAREST_CASES.index(name))
+    if name == "random":
+        return rng.normal(size=(300, 16)), rng.normal(size=(40, 16))
+    if name == "exact-hits":
+        codes = rng.normal(size=(50, 8))
+        return codes[rng.integers(50, size=200)], codes
+    if name == "duplicate-codes":
+        codes = rng.normal(size=(30, 8))
+        codes = np.concatenate([codes, codes])[rng.permutation(60)]
+        x = np.concatenate([codes[:20], rng.normal(size=(100, 8))])
+        return x, codes
+    if name == "near-ties-1ulp":
+        # each code next to a copy one ulp away, the nudged copy first; the
+        # points sit within 1e-12 of them, far below the GEMM's resolution
+        base = rng.normal(size=(32, 8))
+        codes = np.empty((64, 8))
+        codes[0::2] = np.nextafter(base, np.inf)
+        codes[1::2] = base
+        x = codes[rng.integers(64, size=400)] + 1e-12 * rng.normal(size=(400, 8))
+        return x, codes
+    if name == "offset-1e6":
+        # |x|^2 and |c|^2 ~ 1e13 cancel in the GEMM; every row is ambiguous
+        return (1e6 + 1e-6 * rng.normal(size=(200, 16)),
+                1e6 + 1e-6 * rng.normal(size=(24, 16)))
+    if name == "many-chunks":
+        n = 2 * rqvae._ROW_CHUNK + 37
+        return rng.normal(size=(n, 6)), rng.normal(size=(20, 6))
+    if name == "k1":
+        return rng.normal(size=(50, 5)), rng.normal(size=(1, 5))
+    if name == "d1":
+        return rng.normal(size=(80, 1)), rng.normal(size=(9, 1))
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", NEAREST_CASES)
+def test_nearest_code_matches_broadcast_oracle(case):
+    x, codes = _nearest_case(case)
+    idx, dist = rqvae.nearest_code(x, codes)
+    want_idx, want_dist = broadcast_nearest(x, codes)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))  # bitwise
+
+    # residual encode through two levels against the level-by-level oracle
+    cb = rqvae.Codebook(np.stack([codes, codes[::-1]]))
+    enc_idx, res = rqvae.rq_encode_batch(x, cb)
+    r = x.copy()
+    for level in range(cb.levels):
+        best, _ = broadcast_nearest(r, cb.codes[level])
+        assert np.array_equal(enc_idx[:, level], best)
+        r = r - cb.codes[level][best]
+        assert np.array_equal(res[:, level + 1].view(np.int64), r.view(np.int64))
+
+
+@pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (1e6, 1e-6)],
+                         ids=["random", "all-ambiguous"])
+def test_nearest_code_memory_bound(offset, spread):
+    # the dense (N, K, d) tensor would take 5000 * 256 * 64 * 8 B = 655 MB
+    rng = np.random.default_rng(17)
+    x = offset + spread * rng.normal(size=(5000, 64))
+    codes = offset + spread * rng.normal(size=(256, 64))
+    tracemalloc.start()
+    try:
+        rqvae.nearest_code(x, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +159,7 @@ def test_encode_matches_brute_force_scan():
     idx, res = rqvae.rq_encode_batch(z, cb)
     r = z.copy()
     for level in range(cb.levels):
-        d = ((r[:, None, :] - cb.codes[level][None]) ** 2).sum(axis=2)
-        best = d.argmin(axis=1)
+        best, _ = broadcast_nearest(r, cb.codes[level])
         assert np.array_equal(idx[:, level], best)
         r = r - cb.codes[level][best]
     assert np.abs(res[:, -1] - r).max() == 0.0
@@ -138,6 +225,32 @@ def test_train_rqvae_deterministic(small_corpus, small_rq):
 def test_train_rqvae_rejects_bad_shape():
     with pytest.raises(ValueError):
         rqvae.train_rqvae(np.zeros((10, 3)), rqvae.RqVaeConfig(content_dim=16))
+
+
+def test_train_rqvae_rejects_non_finite_content():
+    x = np.random.default_rng(2).normal(size=(50, 8))
+    x[17, 3] = np.nan
+    x[31, 0] = np.inf
+    with pytest.raises(ValueError, match="content row 17 is not finite"):
+        rqvae.train_rqvae(x, rqvae.RqVaeConfig(content_dim=8))
+
+
+def test_train_rqvae_divergence_names_epoch_and_step(monkeypatch):
+    real_decode = rqvae.decode
+    calls = []
+
+    def decode(params, z):
+        out = real_decode(params, z)
+        calls.append(1)
+        return dk.affine(out, np.nan) if len(calls) == 3 else out
+
+    monkeypatch.setattr(rqvae, "decode", decode)
+    x = np.random.default_rng(2).normal(size=(200, 8))
+    cfg = rqvae.RqVaeConfig(content_dim=8, latent_dim=4, levels=2, codes_per_level=4,
+                            hidden_dim=8, epochs=2, batch_size=64, kmeans_iters=2)
+    # 4 batches per epoch: the third decode is epoch 0, step 2
+    with pytest.raises(rqvae.DivergenceError, match="non-finite loss at epoch 0 step 2"):
+        rqvae.train_rqvae(x, cfg, seed=0)
 
 
 def test_small_sample_falls_back_with_warning():
