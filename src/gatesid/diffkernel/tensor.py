@@ -68,6 +68,12 @@ def constant(values):
     return Tensor(values, requires_grad=False)
 
 
+def glorot(rng, fan_in, fan_out):
+    """Trainable (fan_in, fan_out) weight, normal with Glorot scale, drawn from ``rng``."""
+    s = np.sqrt(2.0 / (fan_in + fan_out))
+    return Tensor(rng.normal(0.0, s, size=(fan_in, fan_out)), requires_grad=True)
+
+
 def _accum(t, g):
     if not t.requires_grad:
         return

@@ -105,10 +105,6 @@ class GateSidModel:
     def _init_params(self, rng):
         cfg = self.cfg
 
-        def glorot(fi, fo):
-            s = np.sqrt(2.0 / (fi + fo))
-            return dk.Tensor(rng.normal(0.0, s, size=(fi, fo)), requires_grad=True)
-
         def bias(n):
             return dk.Tensor(np.zeros(n), requires_grad=True)
 
@@ -122,9 +118,9 @@ class GateSidModel:
                 rng.normal(0.0, 0.05, size=(cfg.sid_codes, cfg.d_token)), requires_grad=True)
 
         gate_in = self._gate_input_dim()
-        p["gate.w1"] = glorot(gate_in, cfg.gate_hidden)
+        p["gate.w1"] = dk.glorot(rng, gate_in, cfg.gate_hidden)
         p["gate.b1"] = bias(cfg.gate_hidden)
-        p["gate.w2"] = glorot(cfg.gate_hidden, 1)
+        p["gate.w2"] = dk.glorot(rng, cfg.gate_hidden, 1)
         p["gate.b2"] = bias(1)
 
         # keys start tied to queries so scores begin as a (projected)
@@ -133,19 +129,19 @@ class GateSidModel:
         # the two matrices decouple freely during training
         d_sid = cfg.sid_levels * cfg.d_token
         g = cfg.attn_init_gain
-        p["attn.wq_sid"] = glorot(d_sid, cfg.attn_dim)
+        p["attn.wq_sid"] = dk.glorot(rng, d_sid, cfg.attn_dim)
         p["attn.wq_sid"].values *= g
         p["attn.wk_sid"] = dk.Tensor(p["attn.wq_sid"].values.copy(), requires_grad=True)
-        p["attn.wq_item"] = glorot(cfg.d_item, cfg.attn_dim)
+        p["attn.wq_item"] = dk.glorot(rng, cfg.d_item, cfg.attn_dim)
         p["attn.wq_item"].values *= g
         p["attn.wk_item"] = dk.Tensor(p["attn.wq_item"].values.copy(), requires_grad=True)
 
         head_in = 2 * d_sid + 2 * cfg.d_item + cfg.n_stat + cfg.d_user
-        p["head.w1"] = glorot(head_in, cfg.head_hidden1)
+        p["head.w1"] = dk.glorot(rng, head_in, cfg.head_hidden1)
         p["head.b1"] = bias(cfg.head_hidden1)
-        p["head.w2"] = glorot(cfg.head_hidden1, cfg.head_hidden2)
+        p["head.w2"] = dk.glorot(rng, cfg.head_hidden1, cfg.head_hidden2)
         p["head.b2"] = bias(cfg.head_hidden2)
-        p["head.w3"] = glorot(cfg.head_hidden2, 2)
+        p["head.w3"] = dk.glorot(rng, cfg.head_hidden2, 2)
         p["head.b3"] = bias(2)
         self.params = p
 

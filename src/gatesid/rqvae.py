@@ -27,9 +27,9 @@ class DivergenceError(RuntimeError):
 @dataclass
 class RqVaeConfig:
     content_dim: int = 64
-    latent_dim: int = 16
+    latent_dim: int = 16        # reference scale: 64
     levels: int = 4
-    codes_per_level: int = 64
+    codes_per_level: int = 64   # reference scale: 256
     hidden_dim: int = 32
     beta: float = 0.25          # commitment coefficient
     epochs: int = 10
@@ -185,16 +185,12 @@ def rq_encode_batch(z, codebook):
 
 def init_autoencoder(config, rng):
     """Two-layer relu MLPs for encoder and decoder."""
-    def glorot(fan_in, fan_out):
-        s = np.sqrt(2.0 / (fan_in + fan_out))
-        return dk.Tensor(rng.normal(0.0, s, size=(fan_in, fan_out)), requires_grad=True)
-
     c, h, z = config.content_dim, config.hidden_dim, config.latent_dim
     return {
-        "enc.w1": glorot(c, h), "enc.b1": dk.Tensor(np.zeros(h), requires_grad=True),
-        "enc.w2": glorot(h, z), "enc.b2": dk.Tensor(np.zeros(z), requires_grad=True),
-        "dec.w1": glorot(z, h), "dec.b1": dk.Tensor(np.zeros(h), requires_grad=True),
-        "dec.w2": glorot(h, c), "dec.b2": dk.Tensor(np.zeros(c), requires_grad=True),
+        "enc.w1": dk.glorot(rng, c, h), "enc.b1": dk.Tensor(np.zeros(h), requires_grad=True),
+        "enc.w2": dk.glorot(rng, h, z), "enc.b2": dk.Tensor(np.zeros(z), requires_grad=True),
+        "dec.w1": dk.glorot(rng, z, h), "dec.b1": dk.Tensor(np.zeros(h), requires_grad=True),
+        "dec.w2": dk.glorot(rng, h, c), "dec.b2": dk.Tensor(np.zeros(c), requires_grad=True),
     }
 
 

@@ -248,17 +248,16 @@ def _window_counts(corpus, window_days=7):
     clk = np.zeros((n_items + 1, n_days))
     np.add.at(expo, (corpus.imp_item, corpus.imp_ts), 1.0)
     np.add.at(clk, (corpus.imp_item, corpus.imp_ts), corpus.imp_click.astype(float))
-    cexpo = expo.cumsum(axis=1)
-    cclk = clk.cumsum(axis=1)
 
-    def window(c, day):
-        lo = day - window_days
-        base = c[:, lo] if lo >= 0 else 0.0
-        return c[:, day] - base
+    def window(counts):
+        # day d sums days (d - window_days, d]: the running total at d minus
+        # the one window_days earlier (zero before that)
+        total = counts.cumsum(axis=1)
+        earlier = np.zeros_like(total)
+        earlier[:, window_days:] = total[:, :-window_days]
+        return total - earlier
 
-    wexpo = np.stack([window(cexpo, d) for d in range(n_days)], axis=1)
-    wclk = np.stack([window(cclk, d) for d in range(n_days)], axis=1)
-    return wexpo, wclk
+    return window(expo), window(clk)
 
 
 def _stat_features(corpus, item_ids, days):
@@ -327,12 +326,6 @@ def save_corpus(dirpath, corpus):
                      f"{corpus.imp_click[i]},{corpus.imp_pay[i]},{corpus.imp_ts[i]}")
     atomic_write_text(os.path.join(dirpath, "impressions.csv"), "\n".join(lines) + "\n")
 
-    stats = item_stat_features(corpus)
-    lines = ["item_id,online_duration_days,exposures_7d,clicks_7d"]
-    for i in range(corpus.n_items):
-        lines.append(f"{i+1},{int(stats[i,0])},{int(stats[i,1])},{int(stats[i,2])}")
-    atomic_write_text(os.path.join(dirpath, "stats.csv"), "\n".join(lines) + "\n")
-
 
 def _vector_columns(header, prefix):
     """Positions of the columns prefix0, prefix1, ... in a CSV header."""
@@ -342,8 +335,9 @@ def _vector_columns(header, prefix):
 
 def load_corpus(dirpath, config=None):
     """Read a saved corpus. Vector widths come from the CSV headers; the
-    config supplies the history length (a stored history longer than it is
-    an error) and the generator settings."""
+    config supplies the history length and the day count (a stored history
+    longer than l_max, or an impression day outside [0, n_days), is an
+    error) and the generator settings."""
     import os
     config = config or CorpusConfig()
 
@@ -378,6 +372,10 @@ def load_corpus(dirpath, config=None):
     imp_click = np.array([int(r[3]) for r in rows])
     imp_pay = np.array([int(r[4]) for r in rows])
     imp_ts = np.array([int(r[5]) for r in rows])
+    bad = np.flatnonzero((imp_ts < 0) | (imp_ts >= config.n_days))
+    if bad.size:
+        raise ValueError(f"{imp_path} line {bad[0] + 2}: impression day {imp_ts[bad[0]]} "
+                         f"is outside [0, n_days={config.n_days})")
     imp_hist = np.zeros((n, config.l_max), dtype=np.int64)
     for i, r in enumerate(rows):
         if r[2]:

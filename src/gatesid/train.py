@@ -16,18 +16,24 @@ log = logging.getLogger("gatesid.train")
 @dataclass
 class TrainConfig:
     epochs: int = 2
-    batch_size: int = 256
+    batch_size: int = 256       # reference scale: 4096
     lr: float = 5e-3
     weight_decay: float = 1e-5
     test_frac: float = 0.2
 
 
 def time_split(corpus, test_frac=0.2):
-    """Most recent days form the test set."""
+    """Most recent days form the test set; neither side may be empty."""
     n_days = corpus.config.n_days
     cutoff = n_days - max(1, int(round(test_frac * n_days)))
     train_idx = np.flatnonzero(corpus.imp_ts < cutoff)
     test_idx = np.flatnonzero(corpus.imp_ts >= cutoff)
+    for side, idx in (("train", train_idx), ("test", test_idx)):
+        if idx.size == 0:
+            days = (f"days {corpus.imp_ts.min()}..{corpus.imp_ts.max()}"
+                    if corpus.imp_ts.size else "no impressions")
+            raise ValueError(f"time_split: the {side} split is empty at cutoff day {cutoff} "
+                             f"(n_days={n_days}); the corpus has {days}")
     return train_idx, test_idx
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 
 import numpy as np
@@ -213,7 +214,9 @@ def test_gen_data_deterministic_hashes(tmp_path, capsys):
                                "--set", f"corpus_dir={tmp_path}/{run}")
         assert code == 0
         assert json.loads(out)["command"] == "gen-data"
-    for name in ("items.csv", "users.csv", "impressions.csv", "stats.csv"):
+    names = ["impressions.csv", "items.csv", "users.csv"]
+    assert sorted(os.listdir(tmp_path / "a")) == names
+    for name in names:
         assert file_hash(f"{tmp_path}/a/{name}") == file_hash(f"{tmp_path}/b/{name}")
 
 
@@ -315,6 +318,29 @@ def test_train_rejects_history_longer_than_l_max(tmp_path, capsys):
     assert code == 1
     assert re.search(r"impressions\.csv line \d+: history of [5-8] items is longer than "
                      r"l_max=4", err), err
+
+
+def test_train_rejects_impression_days_outside_n_days(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)  # corpus days 0..9
+    code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
+    assert code == 0
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "n_days=5")
+    assert code == 1
+    assert re.search(r"impressions\.csv line \d+: impression day [5-9] is outside "
+                     r"\[0, n_days=5\)", err), err
+
+
+def test_train_rejects_empty_test_split(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)  # corpus days 0..9
+    for cmd in ("gen-data", "train-rqvae", "encode-sids"):
+        code, _, _ = run_cli(capsys, cmd, "--config", cfg, "--seed", "3")
+        assert code == 0
+    # 30 days at test_frac 0.2 put the cutoff at day 24, after the last impression
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "n_days=30")
+    assert code == 1
+    assert "the test split is empty at cutoff day 24 (n_days=30)" in err, err
+    assert "the corpus has days 0..9" in err, err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_train_rqvae_rejects_content_width_mismatch(tmp_path, capsys):
