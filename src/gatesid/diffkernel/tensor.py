@@ -78,8 +78,10 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # one pass; 0.0 + g and g + 0.0 are the same bits, -0.0 included
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
+    else:
+        t.grad += g
 
 
 def _make(values, inputs, backward_fn):
@@ -293,18 +295,6 @@ def transpose(x):
     return _make(x.values.T.copy(), (x,), bw)
 
 
-def diag_part(x):
-    if x.values.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError("diag_part", x.shape)
-
-    def bw(g):
-        gx = np.zeros_like(x.values)
-        np.fill_diagonal(gx, g)
-        _accum(x, gx)
-
-    return _make(np.diagonal(x.values).copy(), (x,), bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -339,17 +329,14 @@ def row_softmax(x, mask=None, allow_empty=False):
     if x.values.ndim != 2:
         raise ShapeError("row_softmax", x.shape)
     _check_finite("row_softmax", x)
-    v = x.values
-    if mask is None:
-        keep = np.ones(v.shape, dtype=bool)
-    else:
+    shifted = x.values
+    if mask is not None:
         keep = np.asarray(mask, dtype=bool)
-        if keep.shape != v.shape:
-            raise ShapeError("row_softmax mask", v.shape, keep.shape)
-    row_any = keep.any(axis=1)
-    if not row_any.all() and not allow_empty:
-        raise ValueError("row_softmax: fully masked row")
-    shifted = np.where(keep, v, -np.inf)
+        if keep.shape != x.shape:
+            raise ShapeError("row_softmax mask", x.shape, keep.shape)
+        if not keep.any(axis=1).all() and not allow_empty:
+            raise ValueError("row_softmax: fully masked row")
+        shifted = np.where(keep, shifted, -np.inf)
     m = np.max(shifted, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(shifted - m)
@@ -363,6 +350,59 @@ def row_softmax(x, mask=None, allow_empty=False):
     return _make(s, (x,), bw)
 
 
+def softmax_diag(x):
+    """Diagonal of ``row_softmax(x)`` for a square x: (N,N) -> (N,).
+
+    The backward pass builds the (N,N) input gradient directly; its
+    arithmetic is that of ``row_softmax``'s backward fed a gradient that is
+    zero off the diagonal, signed zeros included.
+    """
+    if x.values.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ShapeError("softmax_diag", x.shape)
+    _check_finite("softmax_diag", x)
+    e = np.exp(x.values - np.max(x.values, axis=1, keepdims=True))
+    s = np.divide(e, e.sum(axis=1, keepdims=True), out=e)
+    d = np.diagonal(s).copy()
+
+    def bw(g):
+        gd = g + 0.0
+        inner = gd * d + 0.0
+        gx = s * (0.0 - inner)[:, None]
+        np.fill_diagonal(gx, d * (gd - inner))
+        _accum(x, gx)
+
+    return _make(d, (x,), bw)
+
+
+# Batch rows per block in the history kernels: a block's gathered rows are
+# (_BLOCK, L, D), so no per-slot array of the whole batch is ever built.
+_BLOCK = 64
+
+
+def _row_blocks(rows, idx):
+    """(batch-row slice, rows[idx[slice]]) for each block of _BLOCK batch rows."""
+    for lo in range(0, idx.shape[0], _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        yield blk, rows[idx[blk]]
+
+
+def _scatter_outer(n_rows, idx, w, v):
+    """Row-indexed sum of outer products: out[idx[b, l]] += w[b, l] * v[b]
+    for w (B,L) and v (B,D) -> (n_rows, D).
+
+    One bincount per column j, over the (B,L) products w * v[:, j]: every
+    bin adds the same products in slot order as ``_scatter_rows`` on the
+    (B,L,D) products does, so the two agree bitwise.
+    """
+    flat = idx.ravel()
+    prod = np.empty(w.shape)
+    out = np.empty((n_rows, v.shape[1]))
+    for j, col in enumerate(v.T.copy()):  # contiguous columns multiply faster
+        np.multiply(w, col[:, None], out=prod)
+        out[:, j] = np.bincount(flat, weights=prod.ravel(), minlength=n_rows)
+    return out
+
+
 def attention_scores(q, keys, idx):
     """Dot products with row-indexed keys: q (B,d), keys (U,d), idx (B,L)
     -> (B,L), out[b, l] = q[b] . keys[idx[b, l]]."""
@@ -373,10 +413,16 @@ def attention_scores(q, keys, idx):
     _check_rows("attention_scores", idx, keys.shape[0])
 
     def bw(g):
-        _accum(q, np.matmul(g[:, None, :], keys.values[idx])[:, 0])
-        _accum(keys, _scatter_rows(keys.shape[0], idx, g[:, :, None] * q.values[:, None, :]))
+        dq = np.empty((q.shape[0], 1, q.shape[1]))
+        for blk, k in _row_blocks(keys.values, idx):
+            np.matmul(g[blk, None, :], k, out=dq[blk])
+        _accum(q, dq[:, 0])
+        _accum(keys, _scatter_outer(keys.shape[0], idx, g, q.values))
 
-    return _make(np.matmul(keys.values[idx], q.values[:, :, None])[:, :, 0], (q, keys), bw)
+    out = np.empty(idx.shape + (1,))
+    for blk, k in _row_blocks(keys.values, idx):
+        np.matmul(k, q.values[blk, :, None], out=out[blk])
+    return _make(out[:, :, 0], (q, keys), bw)
 
 
 def attention_pool(s, rows, idx):
@@ -388,10 +434,16 @@ def attention_pool(s, rows, idx):
     _check_rows("attention_pool", idx, rows.shape[0])
 
     def bw(g):
-        _accum(s, np.matmul(rows.values[idx], g[:, :, None])[:, :, 0])
-        _accum(rows, _scatter_rows(rows.shape[0], idx, s.values[:, :, None] * g[:, None, :]))
+        ds = np.empty(idx.shape + (1,))
+        for blk, r in _row_blocks(rows.values, idx):
+            np.matmul(r, g[blk, :, None], out=ds[blk])
+        _accum(s, ds[:, :, 0])
+        _accum(rows, _scatter_outer(rows.shape[0], idx, s.values, g))
 
-    return _make(np.matmul(s.values[:, None, :], rows.values[idx])[:, 0], (s, rows), bw)
+    out = np.empty((s.shape[0], 1, rows.shape[1]))
+    for blk, r in _row_blocks(rows.values, idx):
+        np.matmul(s.values[blk, None, :], r, out=out[blk])
+    return _make(out[:, 0], (s, rows), bw)
 
 
 def scale_rows(s, w):

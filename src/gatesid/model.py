@@ -279,8 +279,7 @@ class GateSidModel:
         a = dk.gather_rows(e_sid, keep)
         b = dk.gather_rows(e_item, keep)
         sims = dk.affine(dk.cosine_matrix(a, b), 1.0 / self.cfg.tau)
-        probs = dk.row_softmax(sims)
-        ell = dk.neg(dk.tlog(dk.diag_part(probs)))
+        ell = dk.neg(dk.tlog(dk.softmax_diag(sims)))
         wk = np.asarray(w_values).reshape(-1)[keep]
         return dk.affine(dk.tsum(dk.mul(ell, dk.constant(wk))), 1.0 / keep.size)
 

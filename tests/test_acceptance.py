@@ -119,7 +119,7 @@ def test_criterion_01_gradient_suite():
         "take_col": check("n", lambda x: dk.tsum(dk.square(dk.take_column(x, 1))),
                           [sq]),
         "transpose": check("o", lambda x: dk.tsum(dk.square(dk.transpose(x))), [sq]),
-        "diag": check("p", lambda x: dk.tsum(dk.square(dk.diag_part(x))), [sq]),
+        "diag": check("p", lambda x: dk.tsum(dk.square(dk.softmax_diag(x))), [sq]),
         "mean": check("q", lambda x: dk.tmean(dk.square(x)), [a]),
         "softmax": check("r", lambda x: dk.tsum(dk.square(dk.row_softmax(x))), [a]),
         "attn_scores": check("s", lambda x, z: dk.tsum(dk.square(

@@ -2,6 +2,7 @@
 checkpoint format."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_take_column_transpose_diag_grads():
     x = RNG.normal(size=(4, 4))
     fd_check(lambda u: dk.tsum(dk.square(dk.take_column(u, 2))), [x])
     fd_check(lambda u: dk.tsum(dk.square(dk.transpose(u))), [x])
-    fd_check(lambda u: dk.tsum(dk.square(dk.diag_part(u))), [x])
+    fd_check(lambda u: dk.tsum(dk.square(dk.softmax_diag(u))), [x])
 
 
 def test_reductions_grads():
@@ -243,6 +244,133 @@ def test_row_indexed_attention_shape_and_range_errors():
         dk.attention_scores(q, keys, np.array([[0, 4], [1, 2]]))
     with pytest.raises(IndexError):
         dk.attention_pool(dk.constant(np.zeros((2, 2))), keys, np.array([[0, -1], [1, 2]]))
+
+
+# Oracles: the whole-batch formulas the blocked kernels replace. Each takes
+# the upstream gradient g and returns (output, input gradients); a gradient
+# is compared after "+ 0.0", the first accumulation into a fresh leaf.
+
+
+def flat_scatter_rows(n_rows, idx, g):
+    """out[idx[i]] += g[i]: one bincount over idx * D + column."""
+    d = g.shape[-1]
+    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+def whole_batch_scores(q, keys, idx, g):
+    out = np.matmul(keys[idx], q[:, :, None])[:, :, 0]
+    dq = np.matmul(g[:, None, :], keys[idx])[:, 0]
+    dkeys = flat_scatter_rows(keys.shape[0], idx, g[:, :, None] * q[:, None, :])
+    return out, (dq, dkeys)
+
+
+def whole_batch_pool(s, rows, idx, g):
+    out = np.matmul(s[:, None, :], rows[idx])[:, 0]
+    ds = np.matmul(rows[idx], g[:, :, None])[:, :, 0]
+    drows = flat_scatter_rows(rows.shape[0], idx, s[:, :, None] * g[:, None, :])
+    return out, (ds, drows)
+
+
+def diag_of_row_softmax(x, g):
+    """diag_part(row_softmax(x)): a dense softmax, a dense diagonal gradient."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+    gs = np.zeros_like(x)
+    np.fill_diagonal(gs, g)
+    gs = 0.0 + gs  # the first accumulation into the softmax output's grad
+    inner = (gs * s).sum(axis=1, keepdims=True)
+    return np.diagonal(s).copy(), (s * (gs - inner),)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def run_op(op, inputs, g, *args):
+    """Output and leaf gradients of op(*inputs, *args) under upstream g."""
+    leaves = [dk.Tensor(a, requires_grad=True) for a in inputs]
+    with dk.Tape() as tape:
+        y = op(*leaves, *args)
+        dk.backward(dk.tsum(dk.mul(y, dk.constant(g))), tape)
+    return y.values, [t.grad for t in leaves]
+
+
+def _history_case(b, length, n_rows, seed):
+    """Repeated ids; row 0 is the pad id and batch row 1 is all pad; the
+    last table row is indexed by no slot when there are two or more."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, max(n_rows - 1, 1), size=(b, length))
+    if b > 1:
+        idx[1] = 0
+    return rng, idx
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 300])
+@pytest.mark.parametrize("length", [1, 20])
+@pytest.mark.parametrize("b", [1, 63, 64, 65, 130])
+def test_blocked_attention_matches_whole_batch_bitwise(b, length, n_rows):
+    rng, idx = _history_case(b, length, n_rows, seed=b * 1000 + length * 10 + n_rows)
+    q, keys, g = rng.normal(size=(b, 5)), rng.normal(size=(n_rows, 5)), rng.normal(size=(b, length))
+    got, grads = run_op(dk.attention_scores, [q, keys], g, idx)
+    want, want_grads = whole_batch_scores(q, keys, idx, g)
+    assert same_bits(got, want)
+    assert all(same_bits(a, w + 0.0) for a, w in zip(grads, want_grads))
+
+    s, rows, g = rng.uniform(size=(b, length)), rng.normal(size=(n_rows, 6)), rng.normal(size=(b, 6))
+    if b > 1:
+        s[1] = 0.0  # the softmax over an all-pad row
+    got, grads = run_op(dk.attention_pool, [s, rows], g, idx)
+    want, want_grads = whole_batch_pool(s, rows, idx, g)
+    assert same_bits(got, want)
+    assert all(same_bits(a, w + 0.0) for a, w in zip(grads, want_grads))
+    if n_rows > 1:
+        assert np.all(grads[1][-1] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_softmax_diag_matches_diag_of_row_softmax_bitwise(n):
+    rng = np.random.default_rng(n)
+    x = 10.0 * rng.normal(size=(n, n))
+    g = rng.normal(size=n)
+    g[::3] = -0.0  # the signed zeros of the dense path
+    got, grads = run_op(dk.softmax_diag, [x], g)
+    want, want_grads = diag_of_row_softmax(x, g)
+    assert same_bits(got, want)
+    assert same_bits(grads[0], want_grads[0] + 0.0)
+    with pytest.raises(dk.ShapeError):
+        dk.softmax_diag(dk.constant(np.zeros((2, 3))))
+
+
+def _traced_peak(op, inputs, g, idx):
+    """tracemalloc peak of one forward plus backward through op."""
+    tracemalloc.start()
+    try:
+        run_op(op, inputs, g, idx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attention_pool_memory_bound():
+    # one (B*L, D) float64 temporary alone is 4096 * 20 * 128 * 8 B = 84 MB
+    rng = np.random.default_rng(5)
+    b, length, n_rows, d = 4096, 20, 2000, 128
+    idx = rng.integers(0, n_rows, size=(b, length))
+    peak = _traced_peak(dk.attention_pool, [rng.uniform(size=(b, length)),
+                        rng.normal(size=(n_rows, d))], rng.normal(size=(b, d)), idx)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_attention_scores_memory_bound():
+    # one (B*L, d) float64 temporary alone is 4096 * 20 * 32 * 8 B = 21 MB
+    rng = np.random.default_rng(6)
+    b, length, n_rows, d = 4096, 20, 2000, 32
+    idx = rng.integers(0, n_rows, size=(b, length))
+    peak = _traced_peak(dk.attention_scores, [rng.normal(size=(b, d)),
+                        rng.normal(size=(n_rows, d))], rng.normal(size=(b, length)), idx)
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_cosine_matrix_grads_and_values():
