@@ -18,7 +18,7 @@ from . import config as runcfg
 from . import evalkit, rqvae, synthcorpus
 from . import train as trainmod
 from . import diffkernel as dk
-from .model import GateSidModel, make_variant, token_init_from_codebook
+from .model import GateSidModel, ModelConfig, token_init_from_codebook
 
 log = logging.getLogger("gatesid.cli")
 
@@ -121,28 +121,20 @@ def cmd_encode_sids(rc):
 def cmd_train(rc):
     corpus = _load_corpus(rc)
     sid_table = _load_sid_table(rc, corpus.n_items)
-    model, info = trainmod.train_model(
+    model, curve = trainmod.train_model(
         corpus, sid_table, variant=rc.variant, seed=rc.seed,
         model_overrides=runcfg.model_overrides(rc),
         train_config=runcfg.train_config(rc), token_init=_token_init(rc))
-    model.save(rc.model_path, extra_meta={"loss_curve": info["loss_curve"],
-                                          "seed": rc.seed})
+    model.save(rc.model_path, extra_meta={"loss_curve": curve, "seed": rc.seed})
     return {"command": "train", "model_path": rc.model_path,
-            "variant": rc.variant, "seed": rc.seed,
-            "final_loss": info["loss_curve"][-1]}
-
-
-def _eval_info(rc, corpus):
-    stats_raw = synthcorpus.impression_stat_features(corpus)
-    _, test_idx = trainmod.time_split(corpus, rc.test_frac)
-    return {"stats_raw": stats_raw, "test_idx": test_idx}
+            "variant": rc.variant, "seed": rc.seed, "final_loss": curve[-1]}
 
 
 def cmd_eval(rc):
     corpus = _load_corpus(rc)
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
-    report = evalkit.evaluate_model(corpus, model, _eval_info(rc, corpus))
+    report = evalkit.evaluate_model(corpus, model, rc.test_frac)
     report.save(rc.report_path)
     return {"command": "eval", "report_path": rc.report_path,
             "ctr_auc": report.metrics["ctr"]["all"]["auc"],
@@ -205,9 +197,8 @@ def cmd_export_emb(rc):
 def toy_model_and_batch(seed=0):
     """A 2-user / 4-item miniature for gradient checking."""
     rng = np.random.default_rng([seed, 0x70F])
-    cfg = make_variant("full", sid_levels=4, sid_codes=8, d_token=4, d_item=16,
-                       d_user=4, attn_dim=4, gate_hidden=4, head_hidden1=8,
-                       head_hidden2=4, l_max=3)
+    cfg = ModelConfig(sid_levels=4, sid_codes=8, d_token=4, d_user=4, attn_dim=4,
+                      gate_hidden=4, head_hidden1=8, head_hidden2=4)
     sid_table = np.zeros((5, 4), dtype=np.int64)
     sid_table[1:] = rng.integers(0, 8, size=(4, 4))
     model = GateSidModel(4, 2, sid_table, cfg, seed=seed)

@@ -24,17 +24,16 @@ class ConfigError(ValueError):
 
 # Fields of the per-module configs that do not read the RunConfig key of the
 # same name: the key they read instead, or None for a field that the run
-# config leaves at the module default. The quantizer's epochs, batch_size, lr
-# and weight_decay must not take the ranking model's training values.
+# config leaves at the module default or, for the model's variant, passes on
+# its own. The quantizer's epochs, batch_size, lr and weight_decay must not
+# take the ranking model's training values.
 _WIRING = {
     RqVaeConfig: {"latent_dim": "rq_latent_dim", "levels": "rq_levels",
                   "codes_per_level": "rq_codes", "hidden_dim": "rq_hidden",
                   "beta": "rq_beta", "epochs": "rq_epochs", "batch_size": "rq_batch",
                   "lr": "rq_lr", "ema_decay": "rq_ema_decay",
                   "kmeans_iters": "rq_kmeans_iters", "weight_decay": None},
-    # d_item is derived in model_overrides; l_max comes from the corpus
-    ModelConfig: {"sid_levels": "rq_levels", "sid_codes": "rq_codes", "d_item": None,
-                  "variant": None, "l_max": None, "n_stat": None},
+    ModelConfig: {"sid_levels": "rq_levels", "sid_codes": "rq_codes", "variant": None},
 }
 
 
@@ -160,7 +159,8 @@ def rqvae_config(rc):
 
 
 def model_overrides(rc):
-    return {**_view(ModelConfig, rc), "d_item": rc.rq_levels * rc.d_token}
+    """ModelConfig keyword arguments; the variant is passed on its own."""
+    return _view(ModelConfig, rc)
 
 
 def train_config(rc):

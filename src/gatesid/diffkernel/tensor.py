@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode autodiff on an explicit tape.
 
 Ops record a backward closure on the currently active Tape; calling
-``backward(loss)`` replays the tape in reverse and accumulates gradients
-into every ``requires_grad`` leaf. The tape is rebuilt for every forward
-pass -- there is no graph caching.
+``backward(loss, tape)`` replays the tape in reverse and accumulates
+gradients into every ``requires_grad`` leaf. The tape is rebuilt for every
+forward pass -- there is no graph caching.
 """
 
 import numpy as np
@@ -57,9 +57,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.values.copy(), requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
@@ -102,35 +99,34 @@ def _check_finite(op, t):
 
 
 def add(a, b):
-    if a.shape != b.shape and b.values.ndim != 0:
+    if a.shape != b.shape:
         raise ShapeError("add", a.shape, b.shape)
 
     def bw(g):
         _accum(a, g)
-        _accum(b, g.sum() if b.values.ndim == 0 else g)
+        _accum(b, g)
 
     return _make(a.values + b.values, (a, b), bw)
 
 
 def sub(a, b):
-    if a.shape != b.shape and b.values.ndim != 0:
+    if a.shape != b.shape:
         raise ShapeError("sub", a.shape, b.shape)
 
     def bw(g):
         _accum(a, g)
-        _accum(b, -(g.sum() if b.values.ndim == 0 else g))
+        _accum(b, -g)
 
     return _make(a.values - b.values, (a, b), bw)
 
 
 def mul(a, b):
-    if a.shape != b.shape and b.values.ndim != 0:
+    if a.shape != b.shape:
         raise ShapeError("mul", a.shape, b.shape)
 
     def bw(g):
         _accum(a, g * b.values)
-        gb = g * a.values
-        _accum(b, gb.sum() if b.values.ndim == 0 else gb)
+        _accum(b, g * a.values)
 
     return _make(a.values * b.values, (a, b), bw)
 
@@ -144,25 +140,11 @@ def affine(x, scale=1.0, shift=0.0):
     return _make(scale * x.values + shift, (x,), bw)
 
 
-def neg(x):
-    return affine(x, -1.0)
-
-
 def square(x):
     def bw(g):
         _accum(x, 2.0 * g * x.values)
 
     return _make(x.values * x.values, (x,), bw)
-
-
-def texp(x):
-    _check_finite("exp", x)
-    v = np.exp(x.values)
-
-    def bw(g):
-        _accum(x, g * v)
-
-    return _make(v, (x,), bw)
 
 
 def tlog(x):
@@ -285,16 +267,6 @@ def take_column(x, j):
     return _make(x.values[:, j], (x,), bw)
 
 
-def transpose(x):
-    if x.values.ndim != 2:
-        raise ShapeError("transpose", x.shape)
-
-    def bw(g):
-        _accum(x, g.T)
-
-    return _make(x.values.T.copy(), (x,), bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -319,12 +291,11 @@ def tmean(x):
 # softmax / attention / similarity
 
 
-def row_softmax(x, mask=None, allow_empty=False):
+def row_softmax(x, mask=None):
     """Softmax over the last axis of a 2-D input with max-subtraction.
 
-    ``mask`` (boolean, True = keep) zeroes out positions via -inf logits.
-    Fully masked rows raise unless ``allow_empty``, in which case they
-    yield all-zero rows.
+    ``mask`` (boolean, True = keep) zeroes out positions via -inf logits;
+    a fully masked row yields an all-zero row.
     """
     if x.values.ndim != 2:
         raise ShapeError("row_softmax", x.shape)
@@ -334,8 +305,6 @@ def row_softmax(x, mask=None, allow_empty=False):
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != x.shape:
             raise ShapeError("row_softmax mask", x.shape, keep.shape)
-        if not keep.any(axis=1).all() and not allow_empty:
-            raise ValueError("row_softmax: fully masked row")
         shifted = np.where(keep, shifted, -np.inf)
     m = np.max(shifted, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
@@ -498,15 +467,12 @@ def bce_with_logits(logits, labels):
 # backward driver
 
 
-def backward(loss, tape=None):
-    """Seed d(loss)/d(loss)=1 and replay the tape in reverse.
+def backward(loss, tape):
+    """Seed d(loss)/d(loss)=1 and replay ``tape`` in reverse.
 
     Intermediate grads are cleared first, so repeated calls accumulate
     cleanly into leaf tensors.
     """
-    tape = tape or Tape._active
-    if tape is None:
-        raise RuntimeError("backward: no tape")
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
     for out, _ in tape._ops:

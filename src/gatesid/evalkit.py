@@ -100,18 +100,13 @@ class EvalReport:
     def save(self, path):
         atomic_write_text(path, self.to_json() + "\n")
 
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            d = json.load(f)
-        return cls(metrics=d["metrics"], gate=d["gate"],
-                   alignment=d["alignment"], counts=d["counts"])
 
-
-def evaluate_model(corpus, model, info):
-    """Bucketed AUC/GAUC on the test split plus gate and alignment diagnostics."""
-    idx = info["test_idx"]
-    batch = train.make_batch(corpus, info["stats_raw"], idx)
+def evaluate_model(corpus, model, test_frac):
+    """Bucketed AUC/GAUC on the ``train.time_split`` test split plus gate and
+    alignment diagnostics."""
+    stats_raw = synthcorpus.impression_stat_features(corpus)
+    _, idx = train.time_split(corpus, test_frac)
+    batch = train.make_batch(corpus, stats_raw, idx)
     preds = model.predict(batch)
 
     ages = corpus.item_age[batch["target_ids"] - 1]
@@ -156,16 +151,17 @@ def run_ablation(corpus, sid_table, variants, seeds, train_config=None,
 
     A failing cell is isolated (recorded as an error string), not fatal.
     """
+    test_frac = (train_config or train.TrainConfig()).test_frac
     cells = {}
     for variant in variants:
         for seed in seeds:
             key = (variant, seed)
             try:
-                model, info = train.train_model(
+                model, _ = train.train_model(
                     corpus, sid_table, variant=variant, seed=seed,
                     model_overrides=model_overrides, train_config=train_config,
                     token_init=token_init)
-                cells[key] = evaluate_model(corpus, model, info)
+                cells[key] = evaluate_model(corpus, model, test_frac)
             except Exception as exc:  # isolate the failure to this cell
                 log.exception("ablation cell %s failed", key)
                 cells[key] = f"error: {exc}"
@@ -207,9 +203,10 @@ def ablation_csv(summary):
 
 
 def gate_age_curve(corpus, model):
-    """Mean gate weight per item-age bin; bins partition the age range."""
+    """Mean gate weight per item-age bin; the edges are sorted and distinct,
+    so the bins partition the age range whatever the maturity thresholds."""
     cfg = corpus.config
-    bins = [0, cfg.new_age_days, 60, 150, cfg.popular_age_days, cfg.max_age_days + 1]
+    bins = sorted({0, cfg.new_age_days, 60, 150, cfg.popular_age_days, cfg.max_age_days + 1})
     stats = synthcorpus.item_stat_features(corpus)
     w = model.item_gate_weights(stats)
     ages = corpus.item_age

@@ -17,6 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import diffkernel as dk
+from .synthcorpus import STAT_FEATURES
 
 VARIANTS = ("full", "no_grca", "no_gfsa", "gate_item_only", "gate_stats_only", "avg_fusion")
 
@@ -48,28 +49,32 @@ class ModelConfig:
     sid_levels: int = 4
     sid_codes: int = 64
     d_token: int = 32
-    d_item: int = 128           # = sid_levels * d_token so the contrastive pair shares a space
     d_user: int = 16
     attn_dim: int = 32
     attn_init_gain: float = 4.0  # score resolution at init; softmax stays well scaled
     gate_hidden: int = 32
     head_hidden1: int = 128
     head_hidden2: int = 64
-    n_stat: int = 3
-    l_max: int = 20
     tau: float = 0.1            # contrastive temperature
-    lam: float = 0.1            # balancing coefficient on the alignment loss
+    lam: float = 0.1            # balancing coefficient on the alignment loss; 0 for no_grca
     variant: str = "full"
 
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant '{self.variant}'; expected one of {VARIANTS}")
+        if self.variant == "no_grca":
+            self.lam = 0.0
 
-def make_variant(name, **overrides):
-    """Configured model setup for the ablation variants."""
-    if name not in VARIANTS:
-        raise ValueError(f"unknown variant '{name}'; expected one of {VARIANTS}")
-    cfg = ModelConfig(variant=name, **overrides)
-    if name == "no_grca":
-        cfg.lam = 0.0
-    return cfg
+    @property
+    def d_item(self):
+        """Item-id embedding width: that of the concatenated SID tokens, so
+        the contrastive pair shares a space."""
+        return self.sid_levels * self.d_token
+
+    @property
+    def n_stat(self):
+        """Stat-feature width, as synthcorpus builds the features."""
+        return len(STAT_FEATURES)
 
 
 class GateSidModel:
@@ -78,8 +83,6 @@ class GateSidModel:
     def __init__(self, n_items, n_users, sid_table, config=None, seed=0,
                  token_init=None):
         self.cfg = config or ModelConfig()
-        if self.cfg.variant not in VARIANTS:
-            raise ValueError(f"unknown variant '{self.cfg.variant}'")
         self.n_items = n_items
         self.n_users = n_users
         sid_table = np.asarray(sid_table, dtype=np.int64)
@@ -127,16 +130,16 @@ class GateSidModel:
         # similarity kernel instead of an arbitrary bilinear form; the gain
         # lifts the tiny embedding norms to a usable softmax resolution.
         # the two matrices decouple freely during training
-        d_sid = cfg.sid_levels * cfg.d_token
         g = cfg.attn_init_gain
-        p["attn.wq_sid"] = dk.glorot(rng, d_sid, cfg.attn_dim)
+        p["attn.wq_sid"] = dk.glorot(rng, cfg.d_item, cfg.attn_dim)
         p["attn.wq_sid"].values *= g
         p["attn.wk_sid"] = dk.Tensor(p["attn.wq_sid"].values.copy(), requires_grad=True)
         p["attn.wq_item"] = dk.glorot(rng, cfg.d_item, cfg.attn_dim)
         p["attn.wq_item"].values *= g
         p["attn.wk_item"] = dk.Tensor(p["attn.wq_item"].values.copy(), requires_grad=True)
 
-        head_in = 2 * d_sid + 2 * cfg.d_item + cfg.n_stat + cfg.d_user
+        # pooled and target (SID, item) vectors, each d_item wide, stats, user
+        head_in = 4 * cfg.d_item + cfg.n_stat + cfg.d_user
         p["head.w1"] = dk.glorot(rng, head_in, cfg.head_hidden1)
         p["head.b1"] = bias(cfg.head_hidden1)
         p["head.w2"] = dk.glorot(rng, cfg.head_hidden1, cfg.head_hidden2)
@@ -208,7 +211,7 @@ class GateSidModel:
         q = dk.matmul(e_target, self.params[wq])
         keys = dk.matmul(rows, self.params[wk])
         scores = dk.affine(dk.attention_scores(q, keys, idx), 1.0 / np.sqrt(self.cfg.attn_dim))
-        return dk.row_softmax(scores, mask=mask, allow_empty=True)
+        return dk.row_softmax(scores, mask=mask)
 
     def _pool_history(self, hist_ids, e_item, e_sid, w):
         """Gated fused attention over the history; returns the pooled
@@ -279,7 +282,7 @@ class GateSidModel:
         a = dk.gather_rows(e_sid, keep)
         b = dk.gather_rows(e_item, keep)
         sims = dk.affine(dk.cosine_matrix(a, b), 1.0 / self.cfg.tau)
-        ell = dk.neg(dk.tlog(dk.softmax_diag(sims)))
+        ell = dk.affine(dk.tlog(dk.softmax_diag(sims)), -1.0)
         wk = np.asarray(w_values).reshape(-1)[keep]
         return dk.affine(dk.tsum(dk.mul(ell, dk.constant(wk))), 1.0 / keep.size)
 

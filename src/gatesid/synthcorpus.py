@@ -76,7 +76,7 @@ class Corpus:
         return self.user_pref.shape[0]
 
 
-def _maturity(age, config):
+def _maturity(age):
     """0 for brand-new items, ~1 for long-lived ones."""
     return 1.0 / (1.0 + np.exp(-(age - 60.0) / 25.0))
 
@@ -144,7 +144,7 @@ def generate_corpus(config=None, seed=0):
     user_factor /= np.linalg.norm(user_factor, axis=1, keepdims=True)
 
     # exposure skew: mature, high-quality items are shown more often
-    m = _maturity(item_age.astype(float), config)
+    m = _maturity(item_age.astype(float))
     expo_w = 1.0 + config.exposure_boost * m * item_quality
     expo_p = expo_w / expo_w.sum()
 
@@ -239,6 +239,9 @@ def generate_corpus(config=None, seed=0):
 # ---------------------------------------------------------------------------
 # statistical features
 
+# the raw stat features of an (item, day) pair, in column order
+STAT_FEATURES = ("online_duration_days", "exposures_7d", "clicks_7d")
+
 
 def _window_counts(corpus, window_days=7):
     """Per (item, day) trailing-window exposure and click counts."""
@@ -261,12 +264,13 @@ def _window_counts(corpus, window_days=7):
 
 
 def _stat_features(corpus, item_ids, days):
-    """(online_duration_days, exposures_7d, clicks_7d) per (item id, day) pair."""
+    """The STAT_FEATURES columns per (item id, day) pair."""
     wexpo, wclk = _window_counts(corpus)
     days_back = corpus.config.n_days - 1 - days
     duration = np.maximum(0, corpus.item_age[item_ids - 1] - days_back)
-    return np.stack([duration.astype(np.float64), wexpo[item_ids, days],
-                     wclk[item_ids, days]], axis=1)
+    cols = {"online_duration_days": duration.astype(np.float64),
+            "exposures_7d": wexpo[item_ids, days], "clicks_7d": wclk[item_ids, days]}
+    return np.stack([cols[name] for name in STAT_FEATURES], axis=1)
 
 
 def impression_stat_features(corpus):
@@ -333,35 +337,75 @@ def _vector_columns(header, prefix):
             if name.startswith(prefix) and name[len(prefix):].isdigit()]
 
 
+def _check(path, bad, values, problem):
+    """Raise naming the first line with a set entry of ``bad`` ((N,) or
+    (N, k); data row i is line i + 2) and, through ``problem.format``, the
+    entry of ``values`` there."""
+    rows, cols = np.nonzero(bad.reshape(len(bad), -1))
+    if rows.size:
+        value = values.reshape(len(values), -1)[rows[0], cols[0]]
+        raise ValueError(f"{path} line {rows[0] + 2}: " + problem.format(value))
+
+
+def _read_numeric(path, first_id):
+    """Header and float rows of a numeric CSV whose first column holds the
+    ids first_id, first_id + 1, ... in row order."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        try:
+            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    last = first_id + rows.shape[0] - 1
+    _check(path, rows[:, 0] != np.arange(first_id, last + 1), rows[:, 0],
+           f"id {{:g}} is out of order (ids run {first_id}..{last} in row order)")
+    return header, rows
+
+
+def _int_column(path, rows, j, name):
+    """Column j of rows as int64; a value that is not a whole number is an error."""
+    col = rows[:, j]
+    _check(path, ~np.isfinite(col) | (col != np.round(col)), col,
+           name + " {:g} is not an integer")
+    return col.astype(np.int64)
+
+
+def _columns(rows, idx):
+    """rows[:, idx] as a C-ordered copy: a column selection comes out
+    F-ordered, and matrix products may round differently on it."""
+    return np.ascontiguousarray(rows[:, idx])
+
+
 def load_corpus(dirpath, config=None):
     """Read a saved corpus. Vector widths come from the CSV headers; the
-    config supplies the history length and the day count (a stored history
-    longer than l_max, or an impression day outside [0, n_days), is an
-    error) and the generator settings."""
+    config supplies the history length and the day count and the generator
+    settings. Item ids must run 1..n and user ids 0..n-1 in row order; an
+    impression's user, item or history id outside those ranges, a stored
+    history longer than l_max and an impression day outside [0, n_days)
+    are errors that name the file and line."""
     import os
     config = config or CorpusConfig()
 
     items_path = os.path.join(dirpath, "items.csv")
-    with open(items_path) as f:
-        header, *rows = list(csv.reader(f))
+    header, items = _read_numeric(items_path, 1)
     vcols, fcols = _vector_columns(header, "v"), _vector_columns(header, "f")
-    n_items = len(rows)
-    item_age = np.array([int(r[1]) for r in rows])
-    item_quality = np.array([float(r[2]) for r in rows])
-    item_topic = np.array([int(r[3]) for r in rows])
-    item_content = np.array([[float(r[i]) for i in vcols] for r in rows])
-    item_factor = np.array([[float(r[i]) for i in fcols] for r in rows])
+    n_items = items.shape[0]
+    item_age = _int_column(items_path, items, 1, "age")
+    item_quality = _columns(items, 2)
+    item_topic = _int_column(items_path, items, 3, "topic")
+    item_content = _columns(items, vcols)
+    item_factor = _columns(items, fcols)
 
     users_path = os.path.join(dirpath, "users.csv")
-    with open(users_path) as f:
-        header, *rows = list(csv.reader(f))
+    header, users = _read_numeric(users_path, 0)
     pcols, ufcols = _vector_columns(header, "p"), _vector_columns(header, "f")
     if len(pcols) != len(vcols) or len(ufcols) != len(fcols):
         raise ValueError(f"{users_path}: {len(pcols)} preference and {len(ufcols)} factor "
                          f"columns, but {items_path} has {len(vcols)} and {len(fcols)}")
-    user_topic = np.array([int(r[1]) for r in rows])
-    user_pref = np.array([[float(r[i]) for i in pcols] for r in rows])
-    user_factor = np.array([[float(r[i]) for i in ufcols] for r in rows])
+    n_users = users.shape[0]
+    user_topic = _int_column(users_path, users, 1, "topic")
+    user_pref = _columns(users, pcols)
+    user_factor = _columns(users, ufcols)
 
     imp_path = os.path.join(dirpath, "impressions.csv")
     with open(imp_path) as f:
@@ -372,21 +416,26 @@ def load_corpus(dirpath, config=None):
     imp_click = np.array([int(r[3]) for r in rows])
     imp_pay = np.array([int(r[4]) for r in rows])
     imp_ts = np.array([int(r[5]) for r in rows])
-    bad = np.flatnonzero((imp_ts < 0) | (imp_ts >= config.n_days))
-    if bad.size:
-        raise ValueError(f"{imp_path} line {bad[0] + 2}: impression day {imp_ts[bad[0]]} "
-                         f"is outside [0, n_days={config.n_days})")
+    _check(imp_path, (imp_ts < 0) | (imp_ts >= config.n_days), imp_ts,
+           f"impression day {{}} is outside [0, n_days={config.n_days})")
+    _check(imp_path, (imp_user < 0) | (imp_user >= n_users), imp_user,
+           f"user id {{}} is outside the users 0..{n_users - 1} of {users_path}")
+    items_range = f"outside the items 1..{n_items} of {items_path}"
+    _check(imp_path, (imp_item < 1) | (imp_item > n_items), imp_item,
+           "item id {} is " + items_range)
+    hists = [r[2].split("|") if r[2] else [] for r in rows]
+    hist_len = np.array([len(h) for h in hists], dtype=np.int64)
+    _check(imp_path, hist_len > config.l_max, hist_len,
+           f"history of {{}} items is longer than l_max={config.l_max}")
+    # histories are right-aligned, most recent last; the slots before them are pad
+    stored = np.arange(config.l_max) >= config.l_max - hist_len.reshape(-1, 1)
     imp_hist = np.zeros((n, config.l_max), dtype=np.int64)
-    for i, r in enumerate(rows):
-        if r[2]:
-            h = [int(v) for v in r[2].split("|")]
-            if len(h) > config.l_max:
-                raise ValueError(f"{imp_path} line {i + 2}: history of {len(h)} items "
-                                 f"is longer than l_max={config.l_max}")
-            imp_hist[i, -len(h):] = h
+    imp_hist[stored] = [int(v) for h in hists for v in h]
+    _check(imp_path, stored & ((imp_hist < 1) | (imp_hist > n_items)), imp_hist,
+           "history item id {} is " + items_range)
 
     cfg = CorpusConfig(**{**config.__dict__,
-                          "n_users": user_pref.shape[0],
+                          "n_users": n_users,
                           "n_items": n_items,
                           "n_impressions": n,
                           "content_dim": len(vcols),

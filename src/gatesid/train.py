@@ -7,7 +7,7 @@ import numpy as np
 
 from . import diffkernel as dk
 from . import synthcorpus
-from .model import GateSidModel, make_variant
+from .model import GateSidModel, ModelConfig
 from .rqvae import DivergenceError
 
 log = logging.getLogger("gatesid.train")
@@ -50,15 +50,14 @@ def make_batch(corpus, stats_raw, idx):
 
 def train_model(corpus, sid_table, variant="full", seed=0,
                 model_overrides=None, train_config=None, token_init=None):
-    """Train one variant; returns (model, info dict with loss curve and split)."""
+    """Train one variant; returns (model, per-epoch mean training loss)."""
     tc = train_config or TrainConfig()
-    cfg = make_variant(variant, **(model_overrides or {}))
-    cfg.l_max = corpus.config.l_max
+    cfg = ModelConfig(variant=variant, **(model_overrides or {}))
     model = GateSidModel(corpus.n_items, corpus.n_users, sid_table, cfg, seed=seed,
                          token_init=token_init)
 
     stats_raw = synthcorpus.impression_stat_features(corpus)
-    train_idx, test_idx = time_split(corpus, tc.test_frac)
+    train_idx, _ = time_split(corpus, tc.test_frac)
     model.fit_stat_norm(stats_raw[train_idx])
 
     opt = dk.AdamW(model.trainable_params(), lr=tc.lr, weight_decay=tc.weight_decay)
@@ -81,13 +80,4 @@ def train_model(corpus, sid_table, variant="full", seed=0,
             total += value * len(batch["target_ids"])
         curve.append(total / order.size)
         log.info("variant=%s seed=%d epoch=%d loss=%.5f", variant, seed, epoch, curve[-1])
-
-    info = {
-        "loss_curve": curve,
-        "train_idx": train_idx,
-        "test_idx": test_idx,
-        "stats_raw": stats_raw,
-        "variant": variant,
-        "seed": seed,
-    }
-    return model, info
+    return model, curve

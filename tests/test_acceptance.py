@@ -57,11 +57,11 @@ def trained(golden_corpus, artifacts):
     for variant in ("full", "no_grca", "no_gfsa", "avg_fusion"):
         for seed in SEEDS:
             t0 = time.time()
-            model, info = train.train_model(
+            model, _ = train.train_model(
                 golden_corpus, artifacts["sid_table"], variant=variant,
                 seed=seed, model_overrides=artifacts["model_overrides"],
                 train_config=tc, token_init=artifacts["token_init"])
-            rep = evalkit.evaluate_model(golden_corpus, model, info)
+            rep = evalkit.evaluate_model(golden_corpus, model, tc.test_frac)
             cells[(variant, seed)] = {"report": rep, "seconds": time.time() - t0,
                                       "model": model if seed == GOLDEN_SEED else None}
     return cells
@@ -105,7 +105,6 @@ def test_criterion_01_gradient_suite():
         "mul": check("c", lambda x, z: dk.tsum(dk.mul(x, z)), [a, b]),
         "affine": check("d", lambda x: dk.tsum(dk.affine(x, 1.7, 0.3)), [a]),
         "square": check("e", lambda x: dk.tsum(dk.square(x)), [a]),
-        "exp": check("f", lambda x: dk.tsum(dk.texp(x)), [a]),
         "log": check("g", lambda x: dk.tsum(dk.tlog(x)), [np.abs(a) + 0.5]),
         "sigmoid": check("h", lambda x: dk.tsum(dk.sigmoid(x)), [a]),
         "relu": check("i", lambda x: dk.tsum(dk.relu(x)), [relu_in]),
@@ -118,7 +117,6 @@ def test_criterion_01_gradient_suite():
             dk.gather_rows(t, np.array([0, 2, 2])))), [m]),
         "take_col": check("n", lambda x: dk.tsum(dk.square(dk.take_column(x, 1))),
                           [sq]),
-        "transpose": check("o", lambda x: dk.tsum(dk.square(dk.transpose(x))), [sq]),
         "diag": check("p", lambda x: dk.tsum(dk.square(dk.softmax_diag(x))), [sq]),
         "mean": check("q", lambda x: dk.tmean(dk.square(x)), [a]),
         "softmax": check("r", lambda x: dk.tsum(dk.square(dk.row_softmax(x))), [a]),
@@ -271,7 +269,7 @@ def test_criterion_04_metric_oracles():
 
 
 def test_criterion_05_contrastive_closed_forms():
-    cfg = ModelConfig(sid_levels=4, sid_codes=8, d_token=4, d_item=16, d_user=4,
+    cfg = ModelConfig(sid_levels=4, sid_codes=8, d_token=4, d_user=4,
                       attn_dim=4, gate_hidden=4, head_hidden1=8, head_hidden2=4)
     model = GateSidModel(100, 2, np.zeros((101, 4), dtype=np.int64), cfg, seed=0)
     rng = np.random.default_rng(505)

@@ -11,7 +11,7 @@ import pytest
 
 from gatesid import cli, config, evalkit, rqvae, synthcorpus, train
 from gatesid import diffkernel as dk
-from gatesid.model import GateSidModel, ModelConfig, make_variant
+from gatesid.model import GateSidModel, ModelConfig
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_build_config_missing_file():
 
 def test_model_overrides_derive_item_dim():
     rc = config.build_config(None, ["rq_levels=3", "d_token=8"])
-    assert config.model_overrides(rc)["d_item"] == 24
+    assert ModelConfig(**config.model_overrides(rc)).d_item == 24
 
 
 # RunConfig keys that no per-module view reads: the seed, artifact paths and
@@ -124,7 +124,7 @@ def test_config_view_defaults_match_module_defaults():
     assert config.corpus_config(rc) == synthcorpus.CorpusConfig()
     assert config.rqvae_config(rc) == rqvae.RqVaeConfig()
     assert config.train_config(rc) == train.TrainConfig()
-    assert make_variant("full", **config.model_overrides(rc)) == ModelConfig()
+    assert ModelConfig(**config.model_overrides(rc)) == ModelConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +242,10 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert all(0 < u <= 1 for u in summaries["train-rqvae"]["utilization"])
     assert summaries["encode-sids"]["n_items"] == 150
 
-    rep = evalkit.EvalReport.load(str(tmp_path / "report.json"))
-    assert 0.0 < rep.metrics["ctr"]["all"]["auc"] < 1.0
-    assert summaries["eval"]["ctr_auc"] == rep.metrics["ctr"]["all"]["auc"]
+    with open(tmp_path / "report.json") as f:
+        ctr_auc = json.load(f)["metrics"]["ctr"]["all"]["auc"]
+    assert 0.0 < ctr_auc < 1.0
+    assert summaries["eval"]["ctr_auc"] == ctr_auc
 
     with open(tmp_path / "gate_curve.csv") as f:
         header = f.readline().strip()
@@ -343,6 +344,66 @@ def test_train_rejects_empty_test_split(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _set_field(lines, i, col, value):
+    fields = lines[i].split(",")
+    fields[col] = value
+    lines[i] = ",".join(fields)
+
+
+def _set_history_id(lines, value):
+    """Set the first id of the first stored history; returns its line number."""
+    i = next(i for i in range(1, len(lines)) if lines[i].split(",")[2])
+    hist = lines[i].split(",")[2].split("|")
+    _set_field(lines, i, 2, "|".join([value] + hist[1:]))
+    return i + 1
+
+
+# case -> (file, edit of its lines, message); an edit that returns a line
+# number also asks for that impressions.csv line in the message. The tiny
+# corpus has users 0..39 and items 1..150.
+CORRUPT_CORPUS = {
+    "items-out-of-order": ("items.csv", lambda ls: _swap(ls, 1, 2),
+                           "items.csv line 2: id 2 is out of order (ids run 1..150 in row order)"),
+    "items-not-a-number": ("items.csv", lambda ls: _set_field(ls, 3, 2, "abc"),
+                           "items.csv: could not convert string 'abc' to float"),
+    "items-fractional-age": ("items.csv", lambda ls: _set_field(ls, 3, 1, "3.5"),
+                             "items.csv line 4: age 3.5 is not an integer"),
+    "users-out-of-order": ("users.csv", lambda ls: _swap(ls, 5, 6),
+                           "users.csv line 6: id 5 is out of order (ids run 0..39 in row order)"),
+    "impression-user": ("impressions.csv", lambda ls: _set_field(ls, 3, 0, "40"),
+                        "impressions.csv line 4: user id 40 is outside the users 0..39"),
+    "impression-item": ("impressions.csv", lambda ls: _set_field(ls, 3, 1, "151"),
+                        "impressions.csv line 4: item id 151 is outside the items 1..150"),
+    "history-item": ("impressions.csv", lambda ls: _set_history_id(ls, "151"),
+                     "history item id 151 is outside the items 1..150"),
+    "history-zero": ("impressions.csv", lambda ls: _set_history_id(ls, "0"),
+                     "history item id 0 is outside the items 1..150"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CORPUS))
+def test_train_rejects_corrupt_corpus_ids(tmp_path, capsys, case):
+    name, mutate, message = CORRUPT_CORPUS[case]
+    cfg = write_tiny_config(tmp_path)
+    code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
+    assert code == 0
+    rqvae.save_sid_table(str(tmp_path / "sids.csv"), np.r_[1:151], np.zeros((150, 3), dtype=int))
+    path = tmp_path / "corpus" / name
+    lines = path.read_text().split("\n")
+    line = mutate(lines)
+    path.write_text("\n".join(lines))
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "token_warm_start=false")
+    assert code == 1, err
+    assert message in err, err
+    if line is not None:
+        assert f"impressions.csv line {line}: {message}" in err, err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_rqvae_rejects_content_width_mismatch(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
@@ -376,7 +437,7 @@ def test_train_model_stops_on_non_finite_loss(monkeypatch, small_corpus, small_s
         real_step(opt)
 
     monkeypatch.setattr(dk.AdamW, "step", step)
-    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_item=12, d_user=4,
+    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     with pytest.raises(rqvae.DivergenceError,
                        match="variant no_grca: non-finite loss at epoch 0 step 2"):

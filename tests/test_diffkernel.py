@@ -32,25 +32,16 @@ def test_add_sub_mul_grads():
     fd_check(lambda x, y: dk.tsum(dk.mul(x, y)), [a, b])
 
 
-def test_scalar_broadcast_grads():
-    a = RNG.normal(size=(3, 4))
-    s = np.asarray(0.7)
-    fd_check(lambda x, y: dk.tsum(dk.add(x, y)), [a, s])
-    fd_check(lambda x, y: dk.tsum(dk.mul(x, y)), [a, s])
-
-
 def test_affine_square_neg_grads():
     a = RNG.normal(size=(4, 3))
     fd_check(lambda x: dk.tsum(dk.affine(x, 2.5, -1.0)), [a])
     fd_check(lambda x: dk.tsum(dk.square(x)), [a])
-    fd_check(lambda x: dk.tsum(dk.neg(x)), [a])
 
 
 def test_exp_log_sigmoid_relu_grads():
     a = RNG.normal(size=(3, 3))
     pos = np.abs(a) + 0.5
     off = a + np.where(np.abs(a) < 0.05, 0.1, 0.0)  # stay away from the kink
-    fd_check(lambda x: dk.tsum(dk.texp(x)), [a])
     fd_check(lambda x: dk.tsum(dk.tlog(x)), [pos])
     fd_check(lambda x: dk.tsum(dk.sigmoid(x)), [a])
     fd_check(lambda x: dk.tsum(dk.relu(x)), [off])
@@ -84,17 +75,17 @@ def test_log_rejects_nonpositive():
 def test_nonfinite_input_rejected():
     bad = dk.constant(np.array([1.0, np.inf]))
     with pytest.raises(dk.NonFiniteError):
-        dk.texp(bad)
+        dk.row_softmax(dk.constant(bad.values[None, :]))
     with pytest.raises(dk.NonFiniteError):
         dk.sigmoid(bad)
 
 
 def test_shape_mismatch_rejected():
     a = dk.constant(np.zeros((2, 3)))
-    b = dk.constant(np.zeros((3, 2)))
-    for op in (dk.add, dk.sub, dk.mul):
-        with pytest.raises(dk.ShapeError):
-            op(a, b)
+    for b in (dk.constant(np.zeros((3, 2))), dk.constant(np.asarray(0.5))):
+        for op in (dk.add, dk.sub, dk.mul):
+            with pytest.raises(dk.ShapeError):
+                op(a, b)  # no broadcasting, not even of a scalar
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +144,6 @@ def test_gather_rows_out_of_range():
 def test_take_column_transpose_diag_grads():
     x = RNG.normal(size=(4, 4))
     fd_check(lambda u: dk.tsum(dk.square(dk.take_column(u, 2))), [x])
-    fd_check(lambda u: dk.tsum(dk.square(dk.transpose(u))), [x])
     fd_check(lambda u: dk.tsum(dk.square(dk.softmax_diag(u))), [x])
 
 
@@ -188,13 +178,14 @@ def test_row_softmax_mask_and_grads():
 
 
 def test_row_softmax_fully_masked():
-    x = dk.constant(np.zeros((2, 3)))
+    x = dk.Tensor(np.zeros((2, 3)), requires_grad=True)
     mask = np.array([[True, False, False], [False, False, False]])
-    with pytest.raises(ValueError):
-        dk.row_softmax(x, mask=mask)
-    s = dk.row_softmax(x, mask=mask, allow_empty=True)
-    assert np.all(s.values[1] == 0.0)
+    with dk.Tape() as tape:
+        s = dk.row_softmax(x, mask=mask)
+        dk.backward(dk.tsum(dk.square(s)), tape)
+    assert np.all(s.values[1] == 0.0)  # a fully masked row attends to nothing
     assert s.values[0].sum() == pytest.approx(1.0)
+    assert np.all(x.grad[1] == 0.0)
 
 
 def test_attention_ops_grads():
@@ -417,14 +408,6 @@ def test_repeated_backward_accumulates_into_leaves():
         dk.backward(y, tape)
         dk.backward(y, tape)
     assert x.grad == pytest.approx(8.0)  # 2 passes of dy/dx = 4
-
-
-def test_detach_blocks_gradient():
-    x = dk.Tensor(np.asarray(3.0), requires_grad=True)
-    with dk.Tape() as tape:
-        y = dk.square(x.detach())
-        assert not y.requires_grad
-    assert tape._ops == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Ranking metrics against brute-force oracles, reports, the ablation
 harness and the gate-age curve."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -134,11 +137,11 @@ def test_eval_report_roundtrip(tmp_path):
         counts={"n_eval": 10})
     path = str(tmp_path / "report.json")
     rep.save(path)
-    rep2 = evalkit.EvalReport.load(path)
-    assert rep2.metrics == rep.metrics
-    assert rep2.gate == rep.gate
-    assert rep2.alignment == rep.alignment
-    assert rep2.counts == rep.counts
+    with open(path) as f:
+        text = f.read()
+    assert text == rep.to_json() + "\n"
+    assert json.loads(text) == {"metrics": rep.metrics, "gate": rep.gate,
+                                "alignment": rep.alignment, "counts": rep.counts}
 
 
 def _fake_report(auc_val):
@@ -167,7 +170,7 @@ def test_ablation_csv_layout():
 
 
 def test_run_ablation_degenerate_matrix(small_corpus, small_sid_table):
-    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_item=12, d_user=4,
+    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     tc = train.TrainConfig(epochs=1, batch_size=128, test_frac=0.2)
     cells, summary = evalkit.run_ablation(small_corpus, small_sid_table,
@@ -179,11 +182,11 @@ def test_run_ablation_degenerate_matrix(small_corpus, small_sid_table):
 
 
 def test_run_ablation_matrix_count_and_isolation(small_corpus, small_sid_table):
-    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_item=999, d_user=4,
+    overrides = dict(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
-    # d_item inconsistent with the SID width makes every cell fail; failures
-    # must be isolated into the cells, not raised
-    cells, summary = evalkit.run_ablation(small_corpus, small_sid_table,
+    # a SID table with two levels where the model expects three makes every
+    # cell fail; failures must be isolated into the cells, not raised
+    cells, summary = evalkit.run_ablation(small_corpus, small_sid_table[:, :2],
                                           ["full", "no_grca"], [0, 1],
                                           model_overrides=overrides)
     assert len(cells) == 4
@@ -196,17 +199,14 @@ def test_run_ablation_matrix_count_and_isolation(small_corpus, small_sid_table):
 
 
 def test_evaluate_model_buckets(small_corpus, small_sid_table):
-    cfg = ModelConfig(sid_levels=3, sid_codes=8, d_token=4, d_item=12, d_user=4,
-                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8,
-                      l_max=small_corpus.config.l_max)
+    cfg = ModelConfig(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
+                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     model = GateSidModel(small_corpus.n_items, small_corpus.n_users,
                          small_sid_table, cfg, seed=0)
     from gatesid import synthcorpus
-    stats_raw = synthcorpus.impression_stat_features(small_corpus)
-    model.fit_stat_norm(stats_raw)
+    model.fit_stat_norm(synthcorpus.impression_stat_features(small_corpus))
     _, test_idx = train.time_split(small_corpus, 0.2)
-    rep = evalkit.evaluate_model(small_corpus, model,
-                                 {"stats_raw": stats_raw, "test_idx": test_idx})
+    rep = evalkit.evaluate_model(small_corpus, model, 0.2)
     assert set(rep.metrics) == {"ctr", "ctcvr"}
     assert set(rep.metrics["ctr"]) == {"all", "new", "popular"}
     assert rep.metrics["ctr"]["all"]["n"] == test_idx.size
@@ -219,9 +219,8 @@ def test_evaluate_model_buckets(small_corpus, small_sid_table):
 
 
 def test_gate_curve_flat_half_for_zero_gate(small_corpus, small_sid_table):
-    cfg = ModelConfig(sid_levels=3, sid_codes=8, d_token=4, d_item=12, d_user=4,
-                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8,
-                      l_max=small_corpus.config.l_max)
+    cfg = ModelConfig(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
+                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     model = GateSidModel(small_corpus.n_items, small_corpus.n_users,
                          small_sid_table, cfg, seed=0)
     for k in ("gate.w1", "gate.b1", "gate.w2", "gate.b2"):
@@ -236,6 +235,24 @@ def test_gate_curve_flat_half_for_zero_gate(small_corpus, small_sid_table):
     for prev, nxt in zip(curve[:-1], curve[1:]):
         assert prev["age_hi"] == nxt["age_lo"]
     assert sum(r["n"] for r in curve) == small_corpus.n_items
+
+
+@pytest.mark.parametrize("setting, edges", [
+    ({"new_age_days": 80}, [0, 60, 80, 150, 300, 366]),
+    ({"new_age_days": 60}, [0, 60, 150, 300, 366]),
+    ({"popular_age_days": 100}, [0, 20, 60, 100, 150, 366]),
+], ids=["new-past-60", "new-on-60", "popular-below-150"])
+def test_gate_curve_bins_partition_when_thresholds_move(small_corpus, small_sid_table,
+                                                        setting, edges):
+    corpus = dataclasses.replace(small_corpus,
+                                 config=dataclasses.replace(small_corpus.config, **setting))
+    cfg = ModelConfig(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
+                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
+    model = GateSidModel(corpus.n_items, corpus.n_users, small_sid_table, cfg, seed=0)
+    curve = evalkit.gate_age_curve(corpus, model)
+    # consecutive bins share their edges, and the edges rise strictly
+    assert [(r["age_lo"], r["age_hi"]) for r in curve] == list(zip(edges[:-1], edges[1:]))
+    assert sum(r["n"] for r in curve) == corpus.n_items  # no item counted twice
 
 
 def test_gate_curve_csv_layout():

@@ -1,28 +1,25 @@
 """Ranking model: embeddings, gate, attention fusion, pooling, losses,
 variants and checkpointing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import gatesid.diffkernel as dk
 from gatesid.diffkernel.tensor import _accum, _make
-from gatesid.model import (GateSidModel, ModelConfig, VARIANTS, make_variant,
-                           token_init_from_codebook)
+from gatesid.model import GateSidModel, ModelConfig, VARIANTS, token_init_from_codebook
 
 
 def tiny_config(**overrides):
-    base = dict(sid_levels=3, sid_codes=8, d_token=4, d_item=12, d_user=4,
-                attn_dim=4, gate_hidden=4, head_hidden1=8, head_hidden2=4,
-                l_max=5)
+    base = dict(sid_levels=3, sid_codes=8, d_token=4, d_user=4,
+                attn_dim=4, gate_hidden=4, head_hidden1=8, head_hidden2=4)
     base.update(overrides)
     return ModelConfig(**base)
 
 
 def tiny_model(variant="full", n_items=6, n_users=3, seed=0, cls=GateSidModel, **overrides):
-    cfg = make_variant(variant, **{**dict(sid_levels=3, sid_codes=8, d_token=4,
-                                          d_item=12, d_user=4, attn_dim=4,
-                                          gate_hidden=4, head_hidden1=8,
-                                          head_hidden2=4, l_max=5), **overrides})
+    cfg = tiny_config(variant=variant, **overrides)
     rng = np.random.default_rng(99)
     table = np.zeros((n_items + 1, 3), dtype=np.int64)
     table[1:] = rng.integers(0, 8, size=(n_items, 3))
@@ -139,11 +136,8 @@ def test_intra_attention_hand_case():
     assert s.values[0] == pytest.approx(want, abs=1e-12)
 
 
-def test_intra_attention_fully_masked_raises():
-    scores = dk.constant(np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        dk.row_softmax(scores, mask=np.array([[False, False]]))
-    # the model allows an all-pad history: its row attends to nothing
+def test_intra_attention_fully_masked_is_zero_row():
+    # an all-pad history attends to nothing
     s = attention_at_b1(np.zeros(2), np.zeros((2, 2)), [False, False], 2)
     assert np.array_equal(s.values, np.zeros((1, 2)))
 
@@ -288,7 +282,7 @@ class PerSlotModel(GateSidModel):
             q = dk.matmul(e_target, self.params[wq])
             k = dk.matmul(seq, self.params[wk])
             scores = dk.affine(slot_scores(q, k), 1.0 / np.sqrt(self.cfg.attn_dim))
-            return dk.row_softmax(scores, mask=mask, allow_empty=True)
+            return dk.row_softmax(scores, mask=mask)
 
         s_item = attention(e_item, h_item_seq, "attn.wq_item", "attn.wk_item")
         if self.cfg.variant == "no_gfsa":
@@ -367,7 +361,7 @@ def test_trainable_params_per_variant():
 
 
 def test_no_grca_sets_lambda_zero():
-    cfg = make_variant("no_grca")
+    cfg = ModelConfig(variant="no_grca", lam=0.5)
     assert cfg.lam == 0.0
     model = tiny_model("no_grca")
     _, parts = model.loss(tiny_batch(model))
@@ -376,11 +370,10 @@ def test_no_grca_sets_lambda_zero():
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        make_variant("nope")
-    with pytest.raises(ValueError):
-        GateSidModel(2, 2, np.zeros((3, 3), dtype=np.int64),
-                     tiny_config(variant="nope"), seed=0)
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        ModelConfig(variant="nope")
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        tiny_model("nope")
 
 
 def test_attention_init_ties_keys_to_queries():
@@ -529,6 +522,19 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     p2 = loaded.predict(batch)
     assert np.array_equal(p1["pctr"], p2["pctr"])
     assert np.array_equal(p1["w"], p2["w"])
+
+
+def test_item_width_derived_from_sid_shape(tmp_path):
+    cfg = ModelConfig(sid_levels=3, d_token=4)
+    model = GateSidModel(5, 2, np.zeros((6, 3), dtype=np.int64), cfg, seed=0)
+    assert model.params["item_emb"].shape == (6, 12)
+    assert model.sid_embed(np.zeros((1, 3), dtype=np.int64)).shape == (1, 12)
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+    _, meta = dk.load_arrays(path)
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    assert len(fields) == 12 and set(meta["config"]) == fields
+    assert not {"d_item", "l_max", "n_stat"} & set(meta["config"])
 
 
 def test_item_helpers_shapes():
