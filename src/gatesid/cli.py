@@ -2,15 +2,19 @@
 assignment, ranking-model training, evaluation, ablations and exports.
 
 Every subcommand reads one flat RunConfig (defaults < config file < --set)
-and prints a single JSON summary line on success. Exit codes: 0 success,
-1 configuration or runtime error, 2 missing prerequisite artifact.
+and prints a single JSON summary line on success, which also carries the
+command's wall time (seconds) and the process's peak RSS (peak_rss_mb).
+Exit codes: 0 success, 1 configuration or runtime error, 2 missing
+prerequisite artifact.
 """
 
 import argparse
 import json
 import logging
 import os
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -267,6 +271,7 @@ def main(argv=None):
     except runcfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    t0 = time.perf_counter()
     try:
         summary = COMMANDS[args.command](rc)
     except MissingArtifactError as exc:
@@ -276,6 +281,10 @@ def main(argv=None):
         log.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    summary.update(seconds=time.perf_counter() - t0,
+                   peak_rss_mb=rss / (2**20 if sys.platform == "darwin" else 2**10))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

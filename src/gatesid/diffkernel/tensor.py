@@ -120,17 +120,6 @@ def sub(a, b):
     return _make(a.values - b.values, (a, b), bw)
 
 
-def mul(a, b):
-    if a.shape != b.shape:
-        raise ShapeError("mul", a.shape, b.shape)
-
-    def bw(g):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
-
-    return _make(a.values * b.values, (a, b), bw)
-
-
 def affine(x, scale=1.0, shift=0.0):
     """scale * x + shift, with float constants."""
 
@@ -145,16 +134,6 @@ def square(x):
         _accum(x, 2.0 * g * x.values)
 
     return _make(x.values * x.values, (x,), bw)
-
-
-def tlog(x):
-    if np.any(x.values <= 0):
-        raise ValueError("log: input must be strictly positive")
-
-    def bw(g):
-        _accum(x, g / x.values)
-
-    return _make(np.log(x.values), (x,), bw)
 
 
 def sigmoid(x):
@@ -271,13 +250,6 @@ def take_column(x, j):
 # reductions
 
 
-def tsum(x):
-    def bw(g):
-        _accum(x, np.full_like(x.values, float(g)))
-
-    return _make(np.asarray(x.values.sum()), (x,), bw)
-
-
 def tmean(x):
     n = x.values.size
 
@@ -317,30 +289,6 @@ def row_softmax(x, mask=None):
         _accum(x, s * (g - inner))
 
     return _make(s, (x,), bw)
-
-
-def softmax_diag(x):
-    """Diagonal of ``row_softmax(x)`` for a square x: (N,N) -> (N,).
-
-    The backward pass builds the (N,N) input gradient directly; its
-    arithmetic is that of ``row_softmax``'s backward fed a gradient that is
-    zero off the diagonal, signed zeros included.
-    """
-    if x.values.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError("softmax_diag", x.shape)
-    _check_finite("softmax_diag", x)
-    e = np.exp(x.values - np.max(x.values, axis=1, keepdims=True))
-    s = np.divide(e, e.sum(axis=1, keepdims=True), out=e)
-    d = np.diagonal(s).copy()
-
-    def bw(g):
-        gd = g + 0.0
-        inner = gd * d + 0.0
-        gx = s * (0.0 - inner)[:, None]
-        np.fill_diagonal(gx, d * (gd - inner))
-        _accum(x, gx)
-
-    return _make(d, (x,), bw)
 
 
 # Batch rows per block in the history kernels: a block's gathered rows are
@@ -427,24 +375,54 @@ def scale_rows(s, w):
     return _make(s.values * w.values, (s, w), bw)
 
 
-def cosine_matrix(a, b):
-    """Pairwise cosine similarities: a (N,d), b (M,d) -> (N,M)."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError("cosine_matrix", a.shape, b.shape)
-    na = np.linalg.norm(a.values, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.values, axis=1, keepdims=True)
+# Rows per score panel in info_nce: a panel is (_NCE_BLOCK, N), so no (N, N)
+# array is ever built.
+_NCE_BLOCK = 256
+
+
+def info_nce(a, b, w, tau):
+    """Weighted in-batch InfoNCE of paired rows a, b (N,d) with constant
+    weights w (N,): sum_i w[i] * -log softmax(cos(a, b) / tau)[i, i].
+
+    Per row panel: the scores, their row softmax p, its diagonal, and
+    d loss / d cos = w[i] / tau * (p[i, j] - [i == j]) pushed through the
+    GEMMs. The input gradients are done in the forward pass; the backward
+    pass only scales them.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if a.values.ndim != 2 or a.shape != b.shape or w.shape != a.shape[:1]:
+        raise ShapeError("info_nce", a.shape, b.shape, w.shape)
+    for t in (a, b):
+        _check_finite("info_nce", t)
+    na, nb = (np.linalg.norm(t.values, axis=1, keepdims=True) for t in (a, b))
     if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("cosine_matrix: zero-norm embedding")
-    an = a.values / na
-    bn = b.values / nb
+        raise ValueError("info_nce: zero-norm embedding")
+    an, bn = a.values / na, b.values / nb
+    c, diag = w / tau, np.empty(a.shape[0])
+    gan, gbn = np.empty_like(an), np.zeros_like(bn)
+    for lo in range(0, a.shape[0], _NCE_BLOCK):
+        blk = slice(lo, lo + _NCE_BLOCK)
+        p = an[blk] @ bn.T
+        p *= 1.0 / tau
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        rows = np.arange(p.shape[0])
+        diag[blk] = p[rows, lo + rows]
+        p *= c[blk, None]
+        p[rows, lo + rows] -= c[blk]
+        np.matmul(p, bn, out=gan[blk])
+        gbn += p.T @ an[blk]
+    if np.any(diag <= 0):
+        raise ValueError("info_nce: a diagonal probability underflows to 0")
+    ga = (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na
+    gb = (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb
 
     def bw(g):
-        gan = g @ bn
-        gbn = g.T @ an
-        _accum(a, (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na)
-        _accum(b, (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb)
+        _accum(a, g * ga)
+        _accum(b, g * gb)
 
-    return _make(an @ bn.T, (a, b), bw)
+    return _make(np.asarray(((0.0 - np.log(diag)) * w).sum()), (a, b), bw)
 
 
 def bce_with_logits(logits, labels):

@@ -12,7 +12,7 @@ the (detached) gate value, aligns the two spaces; the total objective is
 rank loss + lambda * alignment loss.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -281,10 +281,8 @@ class GateSidModel:
         keep = np.sort(first)
         a = dk.gather_rows(e_sid, keep)
         b = dk.gather_rows(e_item, keep)
-        sims = dk.affine(dk.cosine_matrix(a, b), 1.0 / self.cfg.tau)
-        ell = dk.affine(dk.tlog(dk.softmax_diag(sims)), -1.0)
         wk = np.asarray(w_values).reshape(-1)[keep]
-        return dk.affine(dk.tsum(dk.mul(ell, dk.constant(wk))), 1.0 / keep.size)
+        return dk.affine(dk.info_nce(a, b, wk, self.cfg.tau), 1.0 / keep.size)
 
     def loss(self, batch, contrast_w=None):
         """Total objective on one batch. Returns (total, parts dict).
@@ -362,12 +360,28 @@ class GateSidModel:
 
     @classmethod
     def load(cls, path):
+        """Rebuild a saved model. The manifest is checked against the model
+        it describes before anything is copied: an unknown or missing config
+        key, a missing or extra array, or an array of the wrong shape is a
+        ValueError that names the file and the key."""
         arrays, meta = dk.load_arrays(path)
+        keys, want_keys = set(meta["config"]), {f.name for f in fields(ModelConfig)}
+        for what, bad in (("unknown", keys - want_keys), ("missing", want_keys - keys)):
+            if bad:
+                raise ValueError(f"{path}: {what} model config key '{min(bad)}'")
         cfg = ModelConfig(**meta["config"])
-        sid_table = arrays.pop("sid_table").astype(np.int64)
-        model = cls(meta["n_items"], meta["n_users"], sid_table, cfg, seed=0)
-        for k, p in model.params.items():
-            p.values[...] = arrays[k]
+        n = meta["n_items"]
+        model = cls(n, meta["n_users"], np.zeros((n + 1, cfg.sid_levels)), cfg, seed=0)
+        want = {k: p.values for k, p in model.params.items()}
+        want["sid_table"] = model.sid_table
+        for k in sorted(want.keys() | arrays.keys()):
+            if k not in want or k not in arrays:
+                raise ValueError(f"{path}: {'extra' if k in arrays else 'missing'} array '{k}'")
+            if arrays[k].shape != want[k].shape:
+                raise ValueError(f"{path}: array '{k}' has shape {arrays[k].shape}, "
+                                 f"the model expects {want[k].shape}")
+        for k, v in want.items():
+            v[...] = arrays[k]
         model.stat_mean = np.array(meta["stat_mean"])
         model.stat_std = np.array(meta["stat_std"])
         return model

@@ -1,0 +1,85 @@
+"""Tape ops that only the tests use, built on diffkernel's recording
+helpers: the scalar sum and the elementwise product that test losses are
+made of, and the dense InfoNCE composition that ``diffkernel.info_nce``
+replaced, kept as its reference implementation. The composition's three ops
+(cosine_matrix, softmax_diag, tlog) each hold an (N, N) array."""
+
+import numpy as np
+
+import gatesid.diffkernel as dk
+from gatesid.diffkernel.tensor import _accum, _check_finite, _make
+
+
+def mul(a, b):
+    if a.shape != b.shape:
+        raise dk.ShapeError("mul", a.shape, b.shape)
+
+    def bw(g):
+        _accum(a, g * b.values)
+        _accum(b, g * a.values)
+
+    return _make(a.values * b.values, (a, b), bw)
+
+
+def tsum(x):
+    def bw(g):
+        _accum(x, np.full_like(x.values, float(g)))
+
+    return _make(np.asarray(x.values.sum()), (x,), bw)
+
+
+def cosine_matrix(a, b):
+    """Pairwise cosine similarities: a (N,d), b (M,d) -> (N,M)."""
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise dk.ShapeError("cosine_matrix", a.shape, b.shape)
+    na = np.linalg.norm(a.values, axis=1, keepdims=True)
+    nb = np.linalg.norm(b.values, axis=1, keepdims=True)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("cosine_matrix: zero-norm embedding")
+    an = a.values / na
+    bn = b.values / nb
+
+    def bw(g):
+        gan = g @ bn
+        gbn = g.T @ an
+        _accum(a, (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na)
+        _accum(b, (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb)
+
+    return _make(an @ bn.T, (a, b), bw)
+
+
+def softmax_diag(x):
+    """Diagonal of ``row_softmax(x)`` for a square x: (N,N) -> (N,)."""
+    if x.values.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise dk.ShapeError("softmax_diag", x.shape)
+    _check_finite("softmax_diag", x)
+    e = np.exp(x.values - np.max(x.values, axis=1, keepdims=True))
+    s = np.divide(e, e.sum(axis=1, keepdims=True), out=e)
+    d = np.diagonal(s).copy()
+
+    def bw(g):
+        gd = g + 0.0
+        inner = gd * d + 0.0
+        gx = s * (0.0 - inner)[:, None]
+        np.fill_diagonal(gx, d * (gd - inner))
+        _accum(x, gx)
+
+    return _make(d, (x,), bw)
+
+
+def tlog(x):
+    if np.any(x.values <= 0):
+        raise ValueError("log: input must be strictly positive")
+
+    def bw(g):
+        _accum(x, g / x.values)
+
+    return _make(np.log(x.values), (x,), bw)
+
+
+def composed_info_nce(a, b, w, tau):
+    """sum_i w[i] * -log softmax(cos(a, b) / tau)[i, i], as the model composed
+    it before the fused kernel."""
+    sims = dk.affine(cosine_matrix(a, b), 1.0 / tau)
+    ell = dk.affine(tlog(softmax_diag(sims)), -1.0)
+    return tsum(mul(ell, dk.constant(w)))

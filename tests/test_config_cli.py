@@ -220,6 +220,15 @@ def test_gen_data_deterministic_hashes(tmp_path, capsys):
         assert file_hash(f"{tmp_path}/a/{name}") == file_hash(f"{tmp_path}/b/{name}")
 
 
+def test_summary_carries_time_and_peak_rss(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    code, out, _ = run_cli(capsys, "gen-data", "--config", cfg)
+    assert code == 0
+    summary = json.loads(out)
+    assert 0 < summary["seconds"] < 60
+    assert 10 < summary["peak_rss_mb"] < 10_000
+
+
 def test_grad_check_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "grad-check")
     assert code == 0
@@ -265,6 +274,14 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "train", "--config", cfg, "--seed", "11")
     assert code == 0
     assert file_hash(str(tmp_path / "model.ckpt")) == h1
+
+    # a checkpoint whose config has a key ModelConfig no longer has is refused
+    arrays, meta = dk.load_arrays(str(tmp_path / "model.ckpt"))
+    meta["config"]["d_item"] = 24
+    dk.save_arrays(str(tmp_path / "model.ckpt"), arrays, meta)
+    code, _, err = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 1
+    assert "model.ckpt" in err and "unknown model config key 'd_item'" in err
 
     # a checkpoint with bytes after its last array is refused
     with open(tmp_path / "model.ckpt", "ab") as f:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import gatesid.diffkernel as dk
+from gatesid.diffkernel.tensor import _NCE_BLOCK
+from oracle_ops import composed_info_nce, cosine_matrix, mul, softmax_diag, tlog, tsum
 
 
 RNG = np.random.default_rng(12345)
@@ -27,24 +29,24 @@ def fd_check(fn, arrays, tol=1e-6):
 def test_add_sub_mul_grads():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(3, 4))
-    fd_check(lambda x, y: dk.tsum(dk.add(x, y)), [a, b])
-    fd_check(lambda x, y: dk.tsum(dk.sub(x, y)), [a, b])
-    fd_check(lambda x, y: dk.tsum(dk.mul(x, y)), [a, b])
+    fd_check(lambda x, y: tsum(dk.add(x, y)), [a, b])
+    fd_check(lambda x, y: tsum(dk.sub(x, y)), [a, b])
+    fd_check(lambda x, y: tsum(mul(x, y)), [a, b])
 
 
 def test_affine_square_neg_grads():
     a = RNG.normal(size=(4, 3))
-    fd_check(lambda x: dk.tsum(dk.affine(x, 2.5, -1.0)), [a])
-    fd_check(lambda x: dk.tsum(dk.square(x)), [a])
+    fd_check(lambda x: tsum(dk.affine(x, 2.5, -1.0)), [a])
+    fd_check(lambda x: tsum(dk.square(x)), [a])
 
 
 def test_exp_log_sigmoid_relu_grads():
     a = RNG.normal(size=(3, 3))
     pos = np.abs(a) + 0.5
     off = a + np.where(np.abs(a) < 0.05, 0.1, 0.0)  # stay away from the kink
-    fd_check(lambda x: dk.tsum(dk.tlog(x)), [pos])
-    fd_check(lambda x: dk.tsum(dk.sigmoid(x)), [a])
-    fd_check(lambda x: dk.tsum(dk.relu(x)), [off])
+    fd_check(lambda x: tsum(tlog(x)), [pos])
+    fd_check(lambda x: tsum(dk.sigmoid(x)), [a])
+    fd_check(lambda x: tsum(dk.relu(x)), [off])
 
 
 def test_sigmoid_zero_is_half():
@@ -54,7 +56,7 @@ def test_sigmoid_zero_is_half():
 def test_square_grad_analytic():
     x = dk.Tensor(np.asarray(3.0), requires_grad=True)
     with dk.Tape() as tape:
-        y = dk.mul(x, x)
+        y = mul(x, x)
         dk.backward(y, tape)
     assert x.grad == pytest.approx(6.0)
 
@@ -62,14 +64,14 @@ def test_square_grad_analytic():
 def test_softmax_sum_grad_is_zero():
     x = dk.Tensor(RNG.normal(size=(2, 5)), requires_grad=True)
     with dk.Tape() as tape:
-        y = dk.tsum(dk.row_softmax(x))
+        y = tsum(dk.row_softmax(x))
         dk.backward(y, tape)
     assert np.abs(x.grad).max() < 1e-12
 
 
 def test_log_rejects_nonpositive():
     with pytest.raises(ValueError):
-        dk.tlog(dk.constant(np.array([1.0, 0.0])))
+        tlog(dk.constant(np.array([1.0, 0.0])))
 
 
 def test_nonfinite_input_rejected():
@@ -83,7 +85,7 @@ def test_nonfinite_input_rejected():
 def test_shape_mismatch_rejected():
     a = dk.constant(np.zeros((2, 3)))
     for b in (dk.constant(np.zeros((3, 2))), dk.constant(np.asarray(0.5))):
-        for op in (dk.add, dk.sub, dk.mul):
+        for op in (dk.add, dk.sub, mul):
             with pytest.raises(dk.ShapeError):
                 op(a, b)  # no broadcasting, not even of a scalar
 
@@ -96,8 +98,8 @@ def test_matmul_grads():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4, 2))
     c = RNG.normal(size=(2, 3, 4))
-    fd_check(lambda x, y: dk.tsum(dk.matmul(x, y)), [a, b])
-    fd_check(lambda x, y: dk.tsum(dk.matmul(x, y)), [c, b])
+    fd_check(lambda x, y: tsum(dk.matmul(x, y)), [a, b])
+    fd_check(lambda x, y: tsum(dk.matmul(x, y)), [c, b])
 
 
 def test_matmul_shape_error():
@@ -108,10 +110,10 @@ def test_matmul_shape_error():
 def test_add_bias_concat_grads():
     x = RNG.normal(size=(2, 3, 4))
     b = RNG.normal(size=4)
-    fd_check(lambda u, v: dk.tsum(dk.add_bias(u, v)), [x, b])
+    fd_check(lambda u, v: tsum(dk.add_bias(u, v)), [x, b])
     p1 = RNG.normal(size=(3, 2))
     p2 = RNG.normal(size=(3, 5))
-    fd_check(lambda u, v: dk.tsum(dk.mul(dk.concat([u, v]), dk.concat([u, v]))), [p1, p2])
+    fd_check(lambda u, v: tsum(mul(dk.concat([u, v]), dk.concat([u, v]))), [p1, p2])
 
 
 def test_concat_shape_error():
@@ -122,7 +124,7 @@ def test_concat_shape_error():
 def test_gather_rows_grads_with_repeats():
     table = RNG.normal(size=(5, 3))
     idx = np.array([[0, 2], [2, 4]])
-    fd_check(lambda t: dk.tsum(dk.square(dk.gather_rows(t, idx))), [table])
+    fd_check(lambda t: tsum(dk.square(dk.gather_rows(t, idx))), [table])
 
 
 def test_gather_rows_backward_equals_add_at_bitwise():
@@ -130,7 +132,7 @@ def test_gather_rows_backward_equals_add_at_bitwise():
     idx = RNG.integers(0, 6, size=(40, 3))
     g = RNG.normal(size=(40, 3, 5))
     with dk.Tape() as tape:
-        dk.backward(dk.tsum(dk.mul(dk.gather_rows(table, idx), dk.constant(g))), tape)
+        dk.backward(tsum(mul(dk.gather_rows(table, idx), dk.constant(g))), tape)
     want = np.zeros((6, 5))
     np.add.at(want, idx.ravel(), g.reshape(-1, 5))
     assert np.array_equal(table.grad, want)
@@ -143,13 +145,13 @@ def test_gather_rows_out_of_range():
 
 def test_take_column_transpose_diag_grads():
     x = RNG.normal(size=(4, 4))
-    fd_check(lambda u: dk.tsum(dk.square(dk.take_column(u, 2))), [x])
-    fd_check(lambda u: dk.tsum(dk.square(dk.softmax_diag(u))), [x])
+    fd_check(lambda u: tsum(dk.square(dk.take_column(u, 2))), [x])
+    fd_check(lambda u: tsum(dk.square(softmax_diag(u))), [x])
 
 
 def test_reductions_grads():
     x = RNG.normal(size=(3, 5))
-    fd_check(lambda u: dk.tsum(dk.square(u)), [x])
+    fd_check(lambda u: tsum(dk.square(u)), [x])
     fd_check(lambda u: dk.tmean(dk.square(u)), [x])
 
 
@@ -171,7 +173,7 @@ def test_row_softmax_mask_and_grads():
     x = RNG.normal(size=(4, 6))
     mask = RNG.uniform(size=(4, 6)) > 0.3
     mask[:, 0] = True
-    fd_check(lambda u: dk.tsum(dk.square(dk.row_softmax(u, mask=mask))), [x])
+    fd_check(lambda u: tsum(dk.square(dk.row_softmax(u, mask=mask))), [x])
     s = dk.row_softmax(dk.constant(x), mask=mask)
     assert np.all(s.values[~mask] == 0.0)
     assert s.values.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
@@ -182,7 +184,7 @@ def test_row_softmax_fully_masked():
     mask = np.array([[True, False, False], [False, False, False]])
     with dk.Tape() as tape:
         s = dk.row_softmax(x, mask=mask)
-        dk.backward(dk.tsum(dk.square(s)), tape)
+        dk.backward(tsum(dk.square(s)), tape)
     assert np.all(s.values[1] == 0.0)  # a fully masked row attends to nothing
     assert s.values[0].sum() == pytest.approx(1.0)
     assert np.all(x.grad[1] == 0.0)
@@ -195,11 +197,11 @@ def test_attention_ops_grads():
     h = RNG.normal(size=(3, 5, 6))
     w = RNG.normal(size=(3, 1))
     slots = np.arange(3 * 5).reshape(3, 5)
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_scores(a, b, slots))),
+    fd_check(lambda a, b: tsum(dk.square(dk.attention_scores(a, b, slots))),
              [q, k.reshape(-1, 4)])
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_pool(a, b, slots))),
+    fd_check(lambda a, b: tsum(dk.square(dk.attention_pool(a, b, slots))),
              [s, h.reshape(-1, 6)])
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.scale_rows(a, b))), [s, w])
+    fd_check(lambda a, b: tsum(dk.square(dk.scale_rows(a, b))), [s, w])
 
 
 def test_row_indexed_attention_grads_with_repeats_and_pad():
@@ -210,8 +212,8 @@ def test_row_indexed_attention_grads_with_repeats_and_pad():
     keys = RNG.normal(size=(5, 4))
     s = RNG.normal(size=(3, 4))
     rows = RNG.normal(size=(5, 6))
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_scores(a, b, idx))), [q, keys])
-    fd_check(lambda a, b: dk.tsum(dk.square(dk.attention_pool(a, b, idx))), [s, rows])
+    fd_check(lambda a, b: tsum(dk.square(dk.attention_scores(a, b, idx))), [q, keys])
+    fd_check(lambda a, b: tsum(dk.square(dk.attention_pool(a, b, idx))), [s, rows])
 
     got_s = dk.attention_scores(dk.constant(q), dk.constant(keys), idx).values
     assert np.allclose(got_s, np.einsum("bd,bld->bl", q, keys[idx]), rtol=0, atol=1e-14)
@@ -220,7 +222,7 @@ def test_row_indexed_attention_grads_with_repeats_and_pad():
 
     r = dk.Tensor(rows, requires_grad=True)
     with dk.Tape() as tape:
-        dk.backward(dk.tsum(dk.attention_pool(dk.constant(s), r, idx)), tape)
+        dk.backward(tsum(dk.attention_pool(dk.constant(s), r, idx)), tape)
     assert np.all(r.grad[3] == 0.0)
 
 
@@ -284,7 +286,7 @@ def run_op(op, inputs, g, *args):
     leaves = [dk.Tensor(a, requires_grad=True) for a in inputs]
     with dk.Tape() as tape:
         y = op(*leaves, *args)
-        dk.backward(dk.tsum(dk.mul(y, dk.constant(g))), tape)
+        dk.backward(tsum(mul(y, dk.constant(g))), tape)
     return y.values, [t.grad for t in leaves]
 
 
@@ -326,19 +328,19 @@ def test_softmax_diag_matches_diag_of_row_softmax_bitwise(n):
     x = 10.0 * rng.normal(size=(n, n))
     g = rng.normal(size=n)
     g[::3] = -0.0  # the signed zeros of the dense path
-    got, grads = run_op(dk.softmax_diag, [x], g)
+    got, grads = run_op(softmax_diag, [x], g)
     want, want_grads = diag_of_row_softmax(x, g)
     assert same_bits(got, want)
     assert same_bits(grads[0], want_grads[0] + 0.0)
     with pytest.raises(dk.ShapeError):
-        dk.softmax_diag(dk.constant(np.zeros((2, 3))))
+        softmax_diag(dk.constant(np.zeros((2, 3))))
 
 
-def _traced_peak(op, inputs, g, idx):
+def _traced_peak(op, inputs, g, *args):
     """tracemalloc peak of one forward plus backward through op."""
     tracemalloc.start()
     try:
-        run_op(op, inputs, g, idx)
+        run_op(op, inputs, g, *args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,20 +366,103 @@ def test_attention_scores_memory_bound():
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+# ---------------------------------------------------------------------------
+# InfoNCE: the fused kernel against the composed reference (oracle_ops)
+
+
 def test_cosine_matrix_grads_and_values():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(5, 4))
-    fd_check(lambda u, v: dk.tsum(dk.square(dk.cosine_matrix(u, v))), [a, b])
-    c = dk.cosine_matrix(dk.constant(a), dk.constant(a)).values
+    fd_check(lambda u, v: tsum(dk.square(cosine_matrix(u, v))), [a, b])
+    c = cosine_matrix(dk.constant(a), dk.constant(a)).values
     assert np.diagonal(c) == pytest.approx(np.ones(3), abs=1e-12)
     with pytest.raises(ValueError):
-        dk.cosine_matrix(dk.constant(np.zeros((1, 3))), dk.constant(a))
+        cosine_matrix(dk.constant(np.zeros((1, 3))), dk.constant(a))
+
+
+def rel_err(got, want):
+    """Largest absolute difference over the largest magnitude of ``want``."""
+    diff = np.abs(np.asarray(got) - want).max()
+    return 0.0 if diff == 0 else diff / np.abs(want).max()
+
+
+def _nce_case(n, case, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 16))
+    b = a + 0.5 * rng.normal(size=(n, 16))
+    w = rng.uniform(0.1, 2.0, size=n)
+    tau = 1.0 if case == "tau_1" else 0.1
+    if case == "duplicates":  # row 4k+1 repeats row 4k
+        dup = np.arange(1, n, 4)
+        a[dup], b[dup] = a[dup - 1], b[dup - 1]
+    elif case == "zero_weights":
+        w[::3] = 0.0
+    elif case == "all_zero_weights":
+        w[:] = 0.0
+    return a, b, w, tau
+
+
+@pytest.mark.parametrize("case", ["plain", "duplicates", "zero_weights",
+                                  "all_zero_weights", "tau_1"])
+@pytest.mark.parametrize("n", [1, _NCE_BLOCK - 1, _NCE_BLOCK, _NCE_BLOCK + 1,
+                               2 * _NCE_BLOCK + 37])
+def test_info_nce_matches_composed_reference(n, case):
+    a, b, w, tau = _nce_case(n, case, seed=n)
+    got, grads = run_op(dk.info_nce, [a, b], np.asarray(0.7), w, tau)
+    want, want_grads = run_op(composed_info_nce, [a, b], np.asarray(0.7), w, tau)
+    assert rel_err(got, want) <= 1e-12
+    for g, wg in zip(grads, want_grads):
+        assert rel_err(g, wg) <= 1e-12
+
+
+def test_info_nce_grads_and_closed_forms():
+    a, b, w, tau = _nce_case(5, "zero_weights", seed=9)
+    fd_check(lambda u, v: dk.info_nce(u, v, w, tau), [a, b])
+    e = dk.constant(np.eye(3))  # orthogonal pairs at tau 1: each term is log(1 + 2/e)
+    got = float(dk.info_nce(e, e, np.ones(3), 1.0).values)
+    assert got == pytest.approx(3 * np.log(1 + 2 / np.e), rel=1e-14)
+
+
+def test_info_nce_errors():
+    a = dk.constant(RNG.normal(size=(3, 4)))
+    zero = dk.constant(np.vstack([a.values[:2], np.zeros((1, 4))]))
+    with pytest.raises(ValueError, match="zero-norm"):
+        dk.info_nce(zero, a, np.ones(3), 0.1)
+    with pytest.raises(ValueError, match="zero-norm"):
+        dk.info_nce(a, zero, np.ones(3), 0.1)
+    for bad in (np.inf, np.nan):
+        x = a.values.copy()
+        x[1, 2] = bad
+        with pytest.raises(dk.NonFiniteError):
+            dk.info_nce(dk.constant(x), a, np.ones(3), 0.1)
+        with pytest.raises(dk.NonFiniteError):
+            dk.info_nce(a, dk.constant(x), np.ones(3), 0.1)
+    # every pair is orthogonal while another row scores cosine 1: at tau 1e-3
+    # each diagonal probability is exp(-1000), which underflows to 0
+    e = dk.constant(np.eye(4)[:, ::-1])
+    with pytest.raises(ValueError, match="underflows"):
+        dk.info_nce(e, dk.constant(np.eye(4)), np.ones(4), 1e-3)
+    with pytest.raises(dk.ShapeError):
+        dk.info_nce(a, dk.constant(np.ones((2, 4))), np.ones(3), 0.1)
+    with pytest.raises(dk.ShapeError):
+        dk.info_nce(a, a, np.ones(2), 0.1)
+
+
+def test_info_nce_memory_bound():
+    # one (N, N) float64 array alone is 1,700**2 * 8 B = 23 MB; the composed
+    # reference peaks at about 140 MB
+    rng = np.random.default_rng(7)
+    n, d = 1700, 128
+    a = rng.normal(size=(n, d))
+    peak = _traced_peak(dk.info_nce, [a, a + 0.3 * rng.normal(size=(n, d))],
+                        np.asarray(1.0), rng.uniform(size=n), 0.1)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_bce_with_logits_grads_and_values():
     z = RNG.normal(size=8)
     y = (RNG.uniform(size=8) > 0.5).astype(float)
-    fd_check(lambda u: dk.tsum(dk.bce_with_logits(u, y)), [z])
+    fd_check(lambda u: tsum(dk.bce_with_logits(u, y)), [z])
     big = dk.bce_with_logits(dk.constant(np.array([30.0, -30.0])), np.array([1.0, 0.0]))
     assert np.abs(big.values).max() < 1e-12  # confident correct predictions
 
@@ -458,7 +543,7 @@ def test_adamw_missing_grad_raises():
 def test_grad_check_quadratic_is_near_exact():
     x = RNG.normal(size=(3, 3))
     params = {"x": dk.Tensor(x, requires_grad=True)}
-    report = dk.grad_check(lambda: dk.tsum(dk.square(params["x"])), params)
+    report = dk.grad_check(lambda: tsum(dk.square(params["x"])), params)
     assert report["passed"]
     assert report["max_rel_error"]["x"] <= 1e-8
 

@@ -524,6 +524,26 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     assert np.array_equal(p1["w"], p2["w"])
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda cfg, arrays: cfg.update(d_item=12), "d_item"),
+    (lambda cfg, arrays: cfg.pop("attn_dim"), "attn_dim"),
+    (lambda cfg, arrays: arrays.pop("gate.w2"), "gate.w2"),
+    (lambda cfg, arrays: arrays.update(extra=np.zeros(2)), "extra"),
+    (lambda cfg, arrays: arrays.update({"head.b3": np.zeros(1)}), "head.b3"),
+], ids=["unknown_config_key", "missing_config_key", "missing_array", "extra_array",
+        "shape_mismatch"])
+def test_load_rejects_checkpoint_that_does_not_fit(tmp_path, edit, key):
+    path = str(tmp_path / "m.ckpt")
+    tiny_model().save(path)
+    arrays, meta = dk.load_arrays(path)
+    edit(meta["config"], arrays)
+    bad = str(tmp_path / "bad.ckpt")
+    dk.save_arrays(bad, arrays, meta)
+    with pytest.raises(ValueError) as exc:
+        GateSidModel.load(bad)
+    assert bad in str(exc.value) and f"'{key}'" in str(exc.value)
+
+
 def test_item_width_derived_from_sid_shape(tmp_path):
     cfg = ModelConfig(sid_levels=3, d_token=4)
     model = GateSidModel(5, 2, np.zeros((6, 3), dtype=np.int64), cfg, seed=0)
