@@ -10,15 +10,15 @@ Semantic signal therefore dominates cold items and collaborative signal
 dominates popular items, by construction.
 """
 
-import csv
-from dataclasses import dataclass
+import dataclasses
+import re
 
 import numpy as np
 
 from .diffkernel import atomic_write_text
 
 
-@dataclass
+@dataclasses.dataclass
 class CorpusConfig:
     n_users: int = 500
     n_items: int = 2000
@@ -47,7 +47,7 @@ class CorpusConfig:
     collab_gain: float = 0.5
 
 
-@dataclass
+@dataclasses.dataclass
 class Corpus:
     config: CorpusConfig
     # items, 1-based ids; row i-1 describes item i (id 0 is the pad id)
@@ -82,9 +82,17 @@ def _maturity(age):
 
 
 def generate_corpus(config=None, seed=0):
-    config = config or CorpusConfig()
-    if config.n_items <= 0 or config.n_users <= 0 or config.n_impressions <= 0:
-        raise ValueError("generate_corpus: counts must be positive")
+    corpus, drift = _draw_corpus(config or CorpusConfig(), seed)
+    _play_rounds(corpus, *drift)
+    return corpus
+
+
+def _draw_corpus(config, seed):
+    """Every random draw, in order: the corpus without histories, clicks and
+    pays, and the inputs of the state process that fills those in."""
+    if min(config.n_items, config.n_users, config.n_impressions, config.l_max,
+           config.hist_state_window) <= 0:
+        raise ValueError("generate_corpus: counts, l_max and hist_state_window must be positive")
     rng = np.random.default_rng([seed, 0xDA7A])
 
     centers = rng.normal(size=(config.n_topics, config.content_dim))
@@ -153,87 +161,90 @@ def generate_corpus(config=None, seed=0):
     imp_item = rng.choice(config.n_items, size=n, p=expo_p) + 1
     imp_ts = np.sort(rng.integers(0, config.n_days, size=n))
 
-    # Sequential state process: the click probability blends the drifting
-    # latent state with the best match between the target and the user's
-    # visible clicked history, so the history carries the live signal and
-    # which history item matters depends on the target.
-    mi = m[imp_item - 1]
     click_u = rng.uniform(size=n)
     flip = rng.uniform(size=n) < config.label_noise
     pay_u = rng.uniform(size=n)
-
-    imp_hist = np.zeros((n, config.l_max), dtype=np.int64)
-    click = np.zeros(n, dtype=np.int64)
-    pay = np.zeros(n, dtype=np.int64)
-    user_hist = [[] for _ in range(config.n_users)]
-    pref_accum = np.zeros_like(user_pref)
-    pref_count = np.zeros(config.n_users)
-    recent = config.hist_state_window
-    blend = config.hist_state_blend
-    for i in range(n):
-        u = imp_user[i]
-        it = imp_item[i] - 1
-        ts = imp_ts[i]
-        h = [j for j in user_hist[u] if j != imp_item[i]][-config.l_max:]
-        lat_aff = pref_ut[u, ts] @ item_content[it]
-        lat_col = factor_ut[u, ts] @ item_factor[it]
-        if h:
-            imp_hist[i, -len(h):] = h
-            hr = np.array(h) - 1
-            # best-match interest: the click depends on how well the target
-            # matches the single closest item in the visible history, not on
-            # an average of the history
-            affinity = ((1.0 - blend) * lat_aff
-                        + blend * (item_content[hr] @ item_content[it]).max())
-            # the co-click community signal only exists on history items that
-            # have been around long enough to accumulate interactions
-            hm = hr[item_age[hr] > 60]
-            if hm.size:
-                collab_aff = ((1.0 - blend) * lat_col
-                              + blend * (item_factor[hm] @ item_factor[it]).max())
-            else:
-                collab_aff = lat_col
-            pref = ((1.0 - blend) * pref_ut[u, ts]
-                    + blend * item_content[hr[-recent:]].mean(axis=0))
-            pref /= np.linalg.norm(pref)
-        else:
-            affinity = lat_aff
-            collab_aff = lat_col
-            pref = pref_ut[u, ts]
-        pref_accum[u] += pref
-        pref_count[u] += 1
-
-        sem = 1.0 / (1.0 + np.exp(-8.0 * (affinity - 0.5)))
-        collab = 1.0 / (1.0 + np.exp(-6.0 * (collab_aff - 0.45)))
-        sem_w = config.sem_gain * (1.0 - (1.0 - config.sem_floor) * mi[i])
-        p_click = (config.base_ctr + sem_w * sem
-                   + mi[i] * (config.quality_gain * item_quality[it]
-                              + config.collab_gain * collab))
-        c = 1 if click_u[i] < p_click else 0
-        if flip[i]:
-            c = 1 - c
-        click[i] = c
-        if c:
-            p_pay = 0.05 + 0.3 * ((1.0 - mi[i]) * sem
-                                  + mi[i] * 0.5 * (item_quality[it] + collab))
-            pay[i] = 1 if pay_u[i] < p_pay else 0
-            user_hist[u].append(int(imp_item[i]))
-            if len(user_hist[u]) > 4 * config.l_max:
-                user_hist[u] = user_hist[u][-2 * config.l_max:]
-
-    # store the realized mean effective preference for probing/analysis
-    seen = pref_count > 0
-    user_pref[seen] = pref_accum[seen] / pref_count[seen, None]
-    user_pref /= np.linalg.norm(user_pref, axis=1, keepdims=True)
-
-    return Corpus(
-        config=config,
-        item_content=item_content, item_age=item_age,
+    corpus = Corpus(
+        config=config, item_content=item_content, item_age=item_age,
         item_quality=item_quality, item_topic=item_topic, item_factor=item_factor,
         user_pref=user_pref, user_topic=user_topic, user_factor=user_factor,
-        imp_user=imp_user, imp_item=imp_item, imp_hist=imp_hist,
-        imp_click=click, imp_pay=pay, imp_ts=imp_ts,
-    )
+        imp_user=imp_user, imp_item=imp_item, imp_ts=imp_ts,
+        imp_hist=np.zeros((n, config.l_max), dtype=np.int64),
+        imp_click=np.zeros(n, dtype=np.int64), imp_pay=np.zeros(n, dtype=np.int64))
+    return corpus, (pref_ut, factor_ut, m[imp_item - 1], click_u, flip, pay_u)
+
+
+def _matvecs(mats, vecs):
+    """mats[i] @ vecs[i], each rounded as the unstacked k-row gemv (k = 1: dot) is."""
+    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+
+
+def _play_rounds(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
+    """Fill in the histories, clicks and pays, and user_pref as each user's realized mean
+    effective preference. The state is per user, so round r evaluates every user's r-th
+    impression at once; a gemv rounds by its row count, so reductions group rows of equal
+    length, and every bit is as in a loop over one impression at a time."""
+    c = corpus.config
+    l_max, recent, blend = c.l_max, c.hist_state_window, c.hist_state_blend
+    content, factor, users = corpus.item_content, corpus.item_factor, corpus.imp_user
+    by_user = np.argsort(users, kind="stable")
+    counts = np.bincount(users, minlength=c.n_users)
+    starts = np.cumsum(counts) - counts
+    # each user's clicks, oldest first; over 4 l_max, the last 2 l_max are kept
+    clicked = np.zeros((c.n_users, 4 * l_max + 1), dtype=np.int64)
+    n_clicked = np.zeros(c.n_users, dtype=np.int64)
+    pref_accum = np.zeros_like(corpus.user_pref)
+    for r in range(counts.max()):
+        i = by_user[starts[counts > r] + r]  # the r-th impression of each user that has one
+        u, it, ts = users[i], corpus.imp_item[i], corpus.imp_ts[i]
+        # the visible history: the last l_max clicks that are not the target, right-aligned
+        held = clicked[u]
+        keep = (held != it[:, None]) & (np.arange(held.shape[1]) < n_clicked[u, None])
+        from_end = keep[:, ::-1].cumsum(axis=1)[:, ::-1]
+        rows, cols = np.nonzero(keep & (from_end <= l_max))
+        corpus.imp_hist[i[rows], l_max - from_end[rows, cols]] = held[rows, cols]
+        hist, hlen = corpus.imp_hist[i], np.minimum(from_end[:, 0], l_max)
+        target, target_f, pref = content[it - 1], factor[it - 1], pref_ut[u, ts]
+        lat_aff = _matvecs(pref[:, None], target)[:, 0]
+        lat_col = _matvecs(factor_ut[u, ts][:, None], target_f)[:, 0]
+        affinity, collab_aff = lat_aff.copy(), lat_col.copy()
+        for k in np.unique(hlen[hlen > 0]):
+            g, w = hlen == k, min(k, recent)
+            hr = hist[g, l_max - k:] - 1
+            # best-match interest: the closest history item counts, not an average
+            affinity[g] = ((1.0 - blend) * lat_aff[g]
+                           + blend * _matvecs(content[hr], target[g]).max(axis=1))
+            p = (1.0 - blend) * pref[g] + blend * (content[hr[:, k - w:]].sum(axis=1) / w)
+            pref[g] = p / np.sqrt(_matvecs(p[:, None], p))
+        # the co-click community signal only exists on history items that
+        # have been around long enough to accumulate interactions
+        mature = (hist > 0) & (corpus.item_age[hist - 1] > 60)
+        n_mature = mature.sum(axis=1)
+        for k in np.unique(n_mature[n_mature > 0]):
+            g = n_mature == k
+            hm = hist[g][mature[g]].reshape(-1, k) - 1
+            collab_aff[g] = ((1.0 - blend) * lat_col[g]
+                             + blend * _matvecs(factor[hm], target_f[g]).max(axis=1))
+        pref_accum[u] += pref
+        sem = 1.0 / (1.0 + np.exp(-8.0 * (affinity - 0.5)))
+        collab = 1.0 / (1.0 + np.exp(-6.0 * (collab_aff - 0.45)))
+        m, quality = mi[i], corpus.item_quality[it - 1]
+        sem_w = c.sem_gain * (1.0 - (1.0 - c.sem_floor) * m)
+        p_click = c.base_ctr + sem_w * sem + m * (c.quality_gain * quality + c.collab_gain * collab)
+        click = corpus.imp_click[i] = (click_u[i] < p_click) != flip[i]
+        p_pay = 0.05 + 0.3 * ((1.0 - m) * sem + m * 0.5 * (quality + collab))
+        corpus.imp_pay[i] = click & (pay_u[i] < p_pay)
+        cu = u[click]
+        clicked[cu, n_clicked[cu]] = it[click]
+        n_clicked[cu] += 1
+        full = cu[n_clicked[cu] > 4 * l_max]
+        clicked[full, :2 * l_max] = clicked[full, 2 * l_max + 1:]
+        n_clicked[full] = 2 * l_max
+
+    # store the realized mean effective preference for probing/analysis
+    seen = counts > 0
+    corpus.user_pref[seen] = pref_accum[seen] / counts[seen, None]
+    corpus.user_pref /= np.linalg.norm(corpus.user_pref, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +310,40 @@ def split_by_maturity(ages, new_threshold=20, popular_threshold=300):
 # ---------------------------------------------------------------------------
 # CSV artifacts
 
+_IMPRESSION_HEADER = "user_id,item_id,history,click,pay,ts"
+_INT = r"\s*[+-]?[0-9]+\s*"
+_IMPRESSION_LINE = rf"{_INT},{_INT},(?:{_INT}(?:\|{_INT})*)?,{_INT},{_INT},{_INT}"
+_BLOCK = 1024  # rows whose Python numbers the CSV writer holds at once
+
+
+def _write_csv(path, header, *columns):
+    """Write the header and line i: entry i of each column (an (n,) array, an (n, k) array
+    or a list of str) as .tolist() prints it; rows become Python numbers a block at a time."""
+    lines = [",".join(header)]
+    for lo in range(0, len(columns[0]), _BLOCK):
+        block = [col[lo:lo + _BLOCK] for col in columns]
+        fields = [col if isinstance(col, list) else map(str, col.tolist()) if col.ndim == 1
+                  else [",".join(map(str, row)) for row in col.tolist()] for col in block]
+        lines += map(",".join, zip(*fields))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
 
 def save_corpus(dirpath, corpus):
     import os
     c = corpus.config
-
-    lines = ["item_id,age,quality,topic,"
-             + ",".join(f"v{i}" for i in range(c.content_dim)) + ","
-             + ",".join(f"f{i}" for i in range(c.factor_dim))]
-    for i in range(corpus.n_items):
-        vec = ",".join(repr(float(v)) for v in corpus.item_content[i])
-        fac = ",".join(repr(float(v)) for v in corpus.item_factor[i])
-        lines.append(f"{i+1},{corpus.item_age[i]},{float(corpus.item_quality[i])!r},"
-                     f"{corpus.item_topic[i]},{vec},{fac}")
-    atomic_write_text(os.path.join(dirpath, "items.csv"), "\n".join(lines) + "\n")
-
-    lines = ["user_id,topic,"
-             + ",".join(f"p{i}" for i in range(c.content_dim)) + ","
-             + ",".join(f"f{i}" for i in range(c.factor_dim))]
-    for u in range(corpus.n_users):
-        vec = ",".join(repr(float(v)) for v in corpus.user_pref[u])
-        fac = ",".join(repr(float(v)) for v in corpus.user_factor[u])
-        lines.append(f"{u},{corpus.user_topic[u]},{vec},{fac}")
-    atomic_write_text(os.path.join(dirpath, "users.csv"), "\n".join(lines) + "\n")
-
-    lines = ["user_id,item_id,history,click,pay,ts"]
-    for i in range(corpus.imp_user.shape[0]):
-        h = "|".join(str(v) for v in corpus.imp_hist[i] if v != 0)
-        lines.append(f"{corpus.imp_user[i]},{corpus.imp_item[i]},{h},"
-                     f"{corpus.imp_click[i]},{corpus.imp_pay[i]},{corpus.imp_ts[i]}")
-    atomic_write_text(os.path.join(dirpath, "impressions.csv"), "\n".join(lines) + "\n")
+    factors = [f"f{i}" for i in range(c.factor_dim)]
+    _write_csv(os.path.join(dirpath, "items.csv"),
+               ["item_id,age,quality,topic", *(f"v{i}" for i in range(c.content_dim)), *factors],
+               np.arange(1, corpus.n_items + 1), corpus.item_age, corpus.item_quality,
+               corpus.item_topic, corpus.item_content, corpus.item_factor)
+    _write_csv(os.path.join(dirpath, "users.csv"),
+               ["user_id,topic", *(f"p{i}" for i in range(c.content_dim)), *factors],
+               np.arange(corpus.n_users), corpus.user_topic, corpus.user_pref, corpus.user_factor)
+    _write_csv(os.path.join(dirpath, "impressions.csv"), [_IMPRESSION_HEADER],
+               corpus.imp_user, corpus.imp_item,
+               ["|".join(map(str, filter(None, h))) for lo in range(0, len(corpus.imp_hist), _BLOCK)
+                for h in corpus.imp_hist[lo:lo + _BLOCK].tolist()],
+               corpus.imp_click, corpus.imp_pay, corpus.imp_ts)
 
 
 def _vector_columns(header, prefix):
@@ -376,13 +391,39 @@ def _columns(rows, idx):
     return np.ascontiguousarray(rows[:, idx])
 
 
+def _read_impressions(path):
+    """impressions.csv's int64 columns (user_id, item_id, click, pay, ts), each
+    row's history length and all history ids in row order, by numpy's C parser;
+    a line that is not six integer fields is an error naming the line."""
+    with open(path) as f:
+        lines = f.read().splitlines()[1:]
+    try:
+        # the comma count finds a line with extra fields, loadtxt one with too few
+        if not lines or sum(line.count(",") for line in lines) != 5 * len(lines):
+            raise ValueError("no impression lines, or one without 6 fields")
+        cols = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 3, 4, 5), dtype=np.int64,
+                          ndmin=2, comments=None)
+        hists = [line.split(",", 3)[2] for line in lines]
+        joined = "|".join(filter(None, hists))  # no ids at all: nothing for loadtxt to read
+        ids = (np.loadtxt([joined], delimiter="|", dtype=np.int64, ndmin=1, comments=None)
+               if joined else np.zeros(0, dtype=np.int64))
+    except ValueError as exc:
+        for k, line in enumerate(lines, start=2):
+            if not re.fullmatch(_IMPRESSION_LINE, line):
+                raise ValueError(f"{path} line {k}: not six integer fields ({_IMPRESSION_HEADER}"
+                                 f", history ids joined by '|'): {line!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    hist_len = np.array([h.count("|") + 1 if h else 0 for h in hists], dtype=np.int64)
+    return cols.T.copy(), hist_len, ids
+
+
 def load_corpus(dirpath, config=None):
     """Read a saved corpus. Vector widths come from the CSV headers; the
-    config supplies the history length and the day count and the generator
-    settings. Item ids must run 1..n and user ids 0..n-1 in row order; an
-    impression's user, item or history id outside those ranges, a stored
-    history longer than l_max and an impression day outside [0, n_days)
-    are errors that name the file and line."""
+    config supplies the history length, the day count and the generator
+    settings. Item ids must run 1..n and user ids 0..n-1 in row order. A
+    malformed impression line, an id outside those ranges, a click or pay
+    not 0/1, a pay without a click, a history over l_max or a day outside
+    [0, n_days) is an error that names the file and line."""
     import os
     config = config or CorpusConfig()
 
@@ -408,14 +449,11 @@ def load_corpus(dirpath, config=None):
     user_factor = _columns(users, ufcols)
 
     imp_path = os.path.join(dirpath, "impressions.csv")
-    with open(imp_path) as f:
-        rows = list(csv.reader(f))[1:]
-    n = len(rows)
-    imp_user = np.array([int(r[0]) for r in rows])
-    imp_item = np.array([int(r[1]) for r in rows])
-    imp_click = np.array([int(r[3]) for r in rows])
-    imp_pay = np.array([int(r[4]) for r in rows])
-    imp_ts = np.array([int(r[5]) for r in rows])
+    (imp_user, imp_item, imp_click, imp_pay, imp_ts), hist_len, hist_ids = \
+        _read_impressions(imp_path)
+    _check(imp_path, (imp_click < 0) | (imp_click > 1), imp_click, "click {} is not 0 or 1")
+    _check(imp_path, (imp_pay < 0) | (imp_pay > 1), imp_pay, "pay {} is not 0 or 1")
+    _check(imp_path, imp_pay > imp_click, imp_pay, "pay {} on an impression without a click")
     _check(imp_path, (imp_ts < 0) | (imp_ts >= config.n_days), imp_ts,
            f"impression day {{}} is outside [0, n_days={config.n_days})")
     _check(imp_path, (imp_user < 0) | (imp_user >= n_users), imp_user,
@@ -423,28 +461,20 @@ def load_corpus(dirpath, config=None):
     items_range = f"outside the items 1..{n_items} of {items_path}"
     _check(imp_path, (imp_item < 1) | (imp_item > n_items), imp_item,
            "item id {} is " + items_range)
-    hists = [r[2].split("|") if r[2] else [] for r in rows]
-    hist_len = np.array([len(h) for h in hists], dtype=np.int64)
     _check(imp_path, hist_len > config.l_max, hist_len,
            f"history of {{}} items is longer than l_max={config.l_max}")
     # histories are right-aligned, most recent last; the slots before them are pad
     stored = np.arange(config.l_max) >= config.l_max - hist_len.reshape(-1, 1)
-    imp_hist = np.zeros((n, config.l_max), dtype=np.int64)
-    imp_hist[stored] = [int(v) for h in hists for v in h]
+    imp_hist = np.zeros(stored.shape, dtype=np.int64)
+    imp_hist[stored] = hist_ids
     _check(imp_path, stored & ((imp_hist < 1) | (imp_hist > n_items)), imp_hist,
            "history item id {} is " + items_range)
 
-    cfg = CorpusConfig(**{**config.__dict__,
-                          "n_users": n_users,
-                          "n_items": n_items,
-                          "n_impressions": n,
-                          "content_dim": len(vcols),
-                          "factor_dim": len(fcols)})
+    cfg = dataclasses.replace(config, n_users=n_users, n_items=n_items, n_impressions=imp_user.size,
+                              content_dim=len(vcols), factor_dim=len(fcols))
     return Corpus(
-        config=cfg,
-        item_content=item_content, item_age=item_age,
+        config=cfg, item_content=item_content, item_age=item_age,
         item_quality=item_quality, item_topic=item_topic, item_factor=item_factor,
         user_pref=user_pref, user_topic=user_topic, user_factor=user_factor,
         imp_user=imp_user, imp_item=imp_item, imp_hist=imp_hist,
-        imp_click=imp_click, imp_pay=imp_pay, imp_ts=imp_ts,
-    )
+        imp_click=imp_click, imp_pay=imp_pay, imp_ts=imp_ts)

@@ -379,6 +379,17 @@ def _set_history_id(lines, value):
     return i + 1
 
 
+def _set_line_fields(lines, i, fields):
+    lines[i] = ",".join(fields)
+
+
+def _pay_without_click(lines):
+    """Set pay=1 on the first impression without a click; returns its line number."""
+    i = next(i for i in range(1, len(lines)) if lines[i].split(",")[3] == "0")
+    _set_field(lines, i, 4, "1")
+    return i + 1
+
+
 # case -> (file, edit of its lines, message); an edit that returns a line
 # number also asks for that impressions.csv line in the message. The tiny
 # corpus has users 0..39 and items 1..150.
@@ -399,6 +410,20 @@ CORRUPT_CORPUS = {
                      "history item id 151 is outside the items 1..150"),
     "history-zero": ("impressions.csv", lambda ls: _set_history_id(ls, "0"),
                      "history item id 0 is outside the items 1..150"),
+    "impression-not-an-integer": ("impressions.csv", lambda ls: _set_field(ls, 3, 1, "x"),
+                                  "impressions.csv line 4: not six integer fields"),
+    "history-not-an-integer": ("impressions.csv", lambda ls: _set_history_id(ls, "x"),
+                               "not six integer fields"),
+    "impression-too-few-fields": ("impressions.csv",
+                                  lambda ls: _set_line_fields(ls, 3, ls[3].split(",")[:4]),
+                                  "impressions.csv line 4: not six integer fields"),
+    "impression-extra-field": ("impressions.csv",
+                               lambda ls: _set_line_fields(ls, 3, ls[3].split(",") + ["1"]),
+                               "impressions.csv line 4: not six integer fields"),
+    "impression-click": ("impressions.csv", lambda ls: _set_field(ls, 3, 3, "7"),
+                         "impressions.csv line 4: click 7 is not 0 or 1"),
+    "impression-pay-without-click": ("impressions.csv", _pay_without_click,
+                                     "pay 1 on an impression without a click"),
 }
 
 

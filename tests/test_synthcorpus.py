@@ -1,13 +1,20 @@
-"""Corpus generator invariants, statistical features against a brute-force
-tally, maturity buckets and the CSV roundtrip."""
+"""Corpus generator invariants and its sequential reference, statistical
+features against a brute-force tally, maturity buckets and the CSV
+roundtrip."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from gatesid import synthcorpus
 from conftest import small_corpus_config
+from oracle_corpus import reference_corpus
+
+CORPUS_ARRAYS = ("item_content", "item_age", "item_quality", "item_topic", "item_factor",
+                 "user_pref", "user_topic", "user_factor", "imp_user", "imp_item",
+                 "imp_hist", "imp_click", "imp_pay", "imp_ts")
 
 
 # ---------------------------------------------------------------------------
@@ -18,9 +25,7 @@ def test_generation_deterministic():
     cfg = small_corpus_config(n_impressions=800)
     a = synthcorpus.generate_corpus(cfg, seed=5)
     b = synthcorpus.generate_corpus(cfg, seed=5)
-    for name in ("item_content", "item_age", "item_quality", "item_topic",
-                 "item_factor", "user_pref", "user_factor", "imp_user",
-                 "imp_item", "imp_hist", "imp_click", "imp_pay", "imp_ts"):
+    for name in CORPUS_ARRAYS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     c = synthcorpus.generate_corpus(cfg, seed=6)
     assert not np.array_equal(a.imp_click, c.imp_click)
@@ -49,8 +54,40 @@ def test_pay_implies_click(small_corpus):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        synthcorpus.generate_corpus(small_corpus_config(n_items=0))
+    for key in ("n_items", "n_users", "n_impressions", "l_max", "hist_state_window"):
+        with pytest.raises(ValueError, match="must be positive"):
+            synthcorpus.generate_corpus(small_corpus_config(**{key: 0}))
+
+
+# the conftest small config, variations of it that take the generator's
+# edge paths, and the corpus shapes of the benchmark workloads (perfbench/run.py)
+REFERENCE_CONFIGS = {
+    "small": small_corpus_config(),
+    "desk": synthcorpus.CorpusConfig(n_users=100, n_items=800, n_impressions=12000),
+    "ref_quantizer": synthcorpus.CorpusConfig(n_users=100, n_items=2600, n_impressions=6000),
+    "ref_batch": synthcorpus.CorpusConfig(n_users=170, n_items=2000, n_impressions=20000),
+    "l_max-1": small_corpus_config(l_max=1),  # the click buffer trims every few clicks
+    "l_max-2": small_corpus_config(l_max=2),
+    "window-over-l_max": small_corpus_config(hist_state_window=12),
+    "all-cold": small_corpus_config(cold_fraction=1.0),  # no mature history: collab fallback
+    "one-user": small_corpus_config(n_users=1, n_impressions=500),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CONFIGS))
+def test_generator_matches_sequential_reference_bitwise(case):
+    cfg = REFERENCE_CONFIGS[case]
+    got = synthcorpus.generate_corpus(cfg, seed=7)
+    want = reference_corpus(cfg, seed=7)
+    for name in CORPUS_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    if case.startswith("l_max"):
+        # the trim path ran: some user clicked more than 4 * l_max times
+        clicks = np.bincount(got.imp_user[got.imp_click == 1])
+        assert clicks.max() > 4 * cfg.l_max
+    if case == "all-cold":
+        assert got.item_age.max() <= 60
 
 
 def test_history_is_past_clicks_without_target(small_corpus):
@@ -179,6 +216,32 @@ def test_corpus_roundtrip(tmp_path, small_corpus):
                  "imp_hist", "imp_click", "imp_pay", "imp_ts"):
         assert np.array_equal(getattr(small_corpus, name), getattr(loaded, name)), name
     assert loaded.config.n_items == small_corpus.n_items
+
+
+def no_click_corpus():
+    """A corpus whose click probability is zero everywhere, so every history is empty."""
+    cfg = small_corpus_config(n_impressions=200, base_ctr=0.0, sem_gain=0.0,
+                              quality_gain=0.0, collab_gain=0.0, label_noise=0.0)
+    corpus = synthcorpus.generate_corpus(cfg, seed=3)
+    assert not corpus.imp_click.any() and not corpus.imp_hist.any()
+    return corpus
+
+
+@pytest.mark.parametrize("which", ["small", "no-clicks"])
+def test_corpus_csv_bytes_roundtrip(tmp_path, small_corpus, which):
+    corpus = small_corpus if which == "small" else no_click_corpus()
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    synthcorpus.save_corpus(str(first), corpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. numpy's "input contained no data"
+        loaded = synthcorpus.load_corpus(str(first), corpus.config)
+    for name in ("imp_user", "imp_item", "imp_hist", "imp_click", "imp_pay", "imp_ts"):
+        assert getattr(loaded, name).dtype == np.int64, name
+    synthcorpus.save_corpus(str(second), loaded)
+    for name in ("items.csv", "users.csv", "impressions.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_load_corpus_takes_widths_from_file(tmp_path, small_corpus):
