@@ -24,21 +24,30 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.values) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in self.params.items()}
+        n = max((p.values.size for p in self.params.values()), default=0)
+        self._scratch = (np.empty(n), np.empty(n))  # a step's intermediates
 
     def step(self):
+        """Update in place: the out-of-place formula's operations in the same
+        order, so the same bits, without parameter-sized temporaries."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr = self.beta1, self.beta2, self.lr
         for name, p in self.params.items():
             if p.grad is None:
                 raise MissingGradError(name)
-            g = p.grad
+            g, m, v = p.grad, self.m[name], self.v[name]
+            s1, s2 = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
             if self.weight_decay:
-                p.values *= 1.0 - self.lr * self.weight_decay
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1**self.t)
-            v_hat = self.v[name] / (1.0 - b2**self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                p.values *= 1.0 - lr * self.weight_decay
+            m *= b1  # m = b1 * m + (1 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=s1)
+            v *= b2  # v = b2 * v + (1 - b2) * g * g
+            v += np.multiply(np.multiply(1.0 - b2, g, out=s1), g, out=s1)
+            np.divide(m, 1.0 - b1**self.t, out=s1)  # m_hat
+            np.divide(v, 1.0 - b2**self.t, out=s2)  # v_hat
+            s1 *= lr  # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.add(np.sqrt(s2, out=s2), self.eps, out=s2)
+            p.values -= np.divide(s1, s2, out=s1)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -3,7 +3,9 @@
 Ops record a backward closure on the currently active Tape; calling
 ``backward(loss, tape)`` replays the tape in reverse and accumulates
 gradients into every ``requires_grad`` leaf. The tape is rebuilt for every
-forward pass -- there is no graph caching.
+forward pass -- there is no graph caching. Gradients are owned, not copied
+(see ``_accum``), and ``backward`` frees each op output's gradient once its
+op has consumed it: after ``backward`` only leaves keep ``.grad``.
 """
 
 import numpy as np
@@ -72,13 +74,18 @@ def glorot(rng, fan_in, fan_out):
 
 
 def _accum(t, g):
+    """Add gradient ``g`` into ``t.grad``. Ownership rule: an op hands each
+    input a ``g`` that nothing else holds (a fresh array, or a view of one
+    that no other input shares), so a first ``g`` of ``t``'s shape becomes
+    ``t.grad`` itself; ``+ 0.0`` in place turns -0.0 into +0.0 as a copy would."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # one pass; 0.0 + g and g + 0.0 are the same bits, -0.0 included
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == t.values.shape:
+        t.grad = np.add(g, 0.0, out=g)
+    else:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
 
 
 def _make(values, inputs, backward_fn):
@@ -104,7 +111,7 @@ def add(a, b):
 
     def bw(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g + 0.0)  # its own array: a may have adopted g
 
     return _make(a.values + b.values, (a, b), bw)
 
@@ -448,7 +455,9 @@ def bce_with_logits(logits, labels):
 def backward(loss, tape):
     """Seed d(loss)/d(loss)=1 and replay ``tape`` in reverse.
 
-    Intermediate grads are cleared first, so repeated calls accumulate
+    Each op output's gradient is taken out of its slot before the op's
+    closure runs, so it is freed once consumed and only leaves keep
+    ``.grad``. The closures stay on the tape: repeated calls accumulate
     cleanly into leaf tensors.
     """
     if loss.values.size != 1:
@@ -457,8 +466,9 @@ def backward(loss, tape):
         out.grad = None
     loss.grad = np.ones_like(loss.values)
     for out, fn in reversed(tape._ops):
-        if out.grad is not None:
-            fn(out.grad)
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 def linear(x, w, b):

@@ -370,6 +370,14 @@ def _read_numeric(path, first_id):
         try:
             rows = np.loadtxt(f, delimiter=",", ndmin=2)
         except ValueError as exc:
+            f.seek(0)  # name the first line that numpy rejects on its own
+            for k, line in enumerate(f.read().splitlines()[1:], start=2):
+                try:
+                    if line.split("#")[0]:  # loadtxt skips blank and comment lines
+                        np.loadtxt([line], delimiter=",", ndmin=2)
+                except ValueError as line_exc:  # loadtxt's " at row 0, ..." counts this line alone
+                    raise ValueError(f"{path} line {k}: "
+                                     + str(line_exc).split(" at row ")[0]) from None
             raise ValueError(f"{path}: {exc}") from None
     last = first_id + rows.shape[0] - 1
     _check(path, rows[:, 0] != np.arange(first_id, last + 1), rows[:, 0],
@@ -412,6 +420,9 @@ def _read_impressions(path):
             if not re.fullmatch(_IMPRESSION_LINE, line):
                 raise ValueError(f"{path} line {k}: not six integer fields ({_IMPRESSION_HEADER}"
                                  f", history ids joined by '|'): {line!r}") from None
+            big = [v.strip() for v in re.split("[,|]", line) if v and not -2**63 <= int(v) < 2**63]
+            if big:
+                raise ValueError(f"{path} line {k}: {big[0]} is outside the int64 range") from None
         raise ValueError(f"{path}: {exc}") from None
     hist_len = np.array([h.count("|") + 1 if h else 0 for h in hists], dtype=np.int64)
     return cols.T.copy(), hist_len, ids

@@ -2,7 +2,8 @@
 helpers: the scalar sum and the elementwise product that test losses are
 made of, and the dense InfoNCE composition that ``diffkernel.info_nce``
 replaced, kept as its reference implementation. The composition's three ops
-(cosine_matrix, softmax_diag, tlog) each hold an (N, N) array."""
+(cosine_matrix, softmax_diag, tlog) each hold an (N, N) array. Also the
+out-of-place AdamW update, the reference for ``AdamW.step``'s in-place one."""
 
 import numpy as np
 
@@ -83,3 +84,17 @@ def composed_info_nce(a, b, w, tau):
     sims = dk.affine(cosine_matrix(a, b), 1.0 / tau)
     ell = dk.affine(tlog(softmax_diag(sims)), -1.0)
     return tsum(mul(ell, dk.constant(w)))
+
+
+def adamw_step(values, grad, m, v, t, lr, b1, b2, eps, weight_decay):
+    """One AdamW update of a parameter, out of place, as ``AdamW.step`` ran
+    it before it worked in place; returns the new (values, m, v)."""
+    values = values.copy()
+    if weight_decay:
+        values *= 1.0 - lr * weight_decay
+    m = b1 * m + (1.0 - b1) * grad
+    v = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values, m, v

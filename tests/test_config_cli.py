@@ -397,7 +397,9 @@ CORRUPT_CORPUS = {
     "items-out-of-order": ("items.csv", lambda ls: _swap(ls, 1, 2),
                            "items.csv line 2: id 2 is out of order (ids run 1..150 in row order)"),
     "items-not-a-number": ("items.csv", lambda ls: _set_field(ls, 3, 2, "abc"),
-                           "items.csv: could not convert string 'abc' to float"),
+                           "items.csv line 4: could not convert string 'abc' to float"),
+    "users-not-a-number": ("users.csv", lambda ls: _set_field(ls, 5, 3, "1.2.3"),
+                           "users.csv line 6: could not convert string '1.2.3' to float"),
     "items-fractional-age": ("items.csv", lambda ls: _set_field(ls, 3, 1, "3.5"),
                              "items.csv line 4: age 3.5 is not an integer"),
     "users-out-of-order": ("users.csv", lambda ls: _swap(ls, 5, 6),
@@ -420,6 +422,10 @@ CORRUPT_CORPUS = {
     "impression-extra-field": ("impressions.csv",
                                lambda ls: _set_line_fields(ls, 3, ls[3].split(",") + ["1"]),
                                "impressions.csv line 4: not six integer fields"),
+    "impression-out-of-int64": ("impressions.csv",
+                                lambda ls: _set_field(ls, 3, 1, "99999999999999999999"),
+                                "impressions.csv line 4: 99999999999999999999 is outside the "
+                                "int64 range"),
     "impression-click": ("impressions.csv", lambda ls: _set_field(ls, 3, 3, "7"),
                          "impressions.csv line 4: click 7 is not 0 or 1"),
     "impression-pay-without-click": ("impressions.csv", _pay_without_click,

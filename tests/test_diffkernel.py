@@ -9,7 +9,9 @@ import pytest
 
 import gatesid.diffkernel as dk
 from gatesid.diffkernel.tensor import _NCE_BLOCK
-from oracle_ops import composed_info_nce, cosine_matrix, mul, softmax_diag, tlog, tsum
+from gatesid.model import GateSidModel, ModelConfig
+from oracle_ops import (adamw_step, composed_info_nce, cosine_matrix, mul, softmax_diag,
+                        tlog, tsum)
 
 
 RNG = np.random.default_rng(12345)
@@ -495,6 +497,69 @@ def test_repeated_backward_accumulates_into_leaves():
     assert x.grad == pytest.approx(8.0)  # 2 passes of dy/dx = 4
 
 
+def _weighted_sum(y):
+    return tsum(mul(y, dk.constant(np.random.default_rng(8).normal(size=y.shape))))
+
+
+def _history_table_loss(t, q):
+    idx = np.array([[1, 2], [2, 2], [0, 5]])
+    s = dk.row_softmax(dk.attention_scores(q, t, idx))
+    return _weighted_sum(dk.add_bias(dk.attention_pool(s, t, idx), dk.gather_rows(t, 3)))
+
+
+# case -> (leaf shapes, loss over the leaves); "add-of-the-seed" hands the
+# loss's own seed gradient to add, "table" reaches one leaf by three ops
+OWNERSHIP_CASES = {
+    "add": ([(3, 4), (3, 4)], lambda a, b: _weighted_sum(dk.add(a, b))),
+    "add-of-the-seed": ([(), ()], dk.add),
+    "add-to-itself": ([(3, 4), (3, 4)], lambda x, y: _weighted_sum(dk.add(dk.add(x, x), y))),
+    "concat-parts": ([(3, 2), (3, 5)], lambda u, v: _weighted_sum(dk.concat([u, v]))),
+    "two-paths": ([(3, 4), (4, 2)],
+                  lambda x, w: _weighted_sum(dk.concat([x, dk.matmul(x, w)]))),
+    "table": ([(6, 4), (3, 4)], _history_table_loss),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
+def test_backward_leaves_owned_grads_on_leaves_only(case):
+    shapes, loss_fn = OWNERSHIP_CASES[case]
+    rng = np.random.default_rng(9)
+    leaves = [dk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    with dk.Tape() as tape:
+        dk.backward(loss_fn(*leaves), tape)
+    assert tape._ops and all(out.grad is None for out, _ in tape._ops)
+    grads = [t.grad for t in leaves]
+    assert all(g.shape == t.shape for g, t in zip(grads, leaves))
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+        assert not any(np.shares_memory(g, t.values) for t in leaves)
+        assert not any(np.shares_memory(g, out.values) for out, _ in tape._ops)
+    kept = [g.copy() for g in grads]
+    for i, g in enumerate(grads):
+        g += 1.0
+        assert all(same_bits(h, k) for j, (h, k) in enumerate(zip(grads, kept)) if j != i)
+        g[...] = kept[i]
+
+
+def test_add_to_itself_doubles_the_gradient():
+    x = dk.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    c = RNG.normal(size=(2, 3))
+    with dk.Tape() as tape:
+        dk.backward(tsum(mul(dk.add(x, x), dk.constant(c))), tape)
+    assert same_bits(x.grad, c + c)
+
+
+def test_adopted_first_gradient_has_no_negative_zero():
+    # mul hands x the fresh array 1.0 * c, whose -0.0 entries stay -0.0;
+    # adopting it must still give the +0.0 that a copy through g + 0.0 gives
+    x = dk.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    c = np.array([[-0.0, 1.5, 0.0], [-2.0, -0.0, 3.0]])
+    with dk.Tape() as tape:
+        dk.backward(tsum(mul(x, dk.constant(c))), tape)
+    assert same_bits(x.grad, c + 0.0)
+    assert not np.signbit(x.grad[c == 0]).any()
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -531,6 +596,84 @@ def test_adamw_matches_scalar_oracle():
         p.grad = np.asarray(1.0)
         opt.step()
         assert float(p.values) == pytest.approx(x, rel=1e-14)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_in_place_step_matches_out_of_place_oracle_bitwise(weight_decay):
+    rng = np.random.default_rng(10)
+    shapes = {"w": (5, 4), "b": (4,), "s": ()}
+    params = {k: dk.Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    hyper = dict(lr=5e-3, b1=0.9, b2=0.999, eps=1e-8, weight_decay=weight_decay)
+    opt = dk.AdamW(params, lr=hyper["lr"], beta1=hyper["b1"], beta2=hyper["b2"],
+                   eps=hyper["eps"], weight_decay=weight_decay)
+    want = {k: (p.values.copy(), np.zeros(p.shape), np.zeros(p.shape)) for k, p in params.items()}
+    for t in range(1, 6):
+        for k, p in params.items():
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 4, size=p.shape)
+            if g.ndim:
+                g.flat[::3] = -0.0
+                g.flat[1::5] = 0.0
+                g.flat[-1] = (-1) ** t * 1e150  # g * g stays finite
+            p.grad = g
+            values, m, v = want[k]
+            want[k] = adamw_step(values, g.copy(), m, v, t, **hyper)
+        opt.step()
+        for k, p in params.items():
+            assert same_bits(p.values, want[k][0]), (k, t)
+            assert same_bits(opt.m[k], want[k][1]), (k, t)
+            assert same_bits(opt.v[k], want[k][2]), (k, t)
+
+
+def test_adamw_step_accepts_a_strided_grad():
+    # a leaf fed by concat adopts a column view of the op's gradient
+    p = dk.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    ref = p.values.copy()
+    opt = dk.AdamW({"p": p}, lr=0.1, weight_decay=0.1)
+    g = RNG.normal(size=(4, 7))
+    p.grad = g[:, 2:5]
+    opt.step()
+    assert same_bits(p.values, adamw_step(ref, g[:, 2:5].copy(), np.zeros((4, 3)),
+                                          np.zeros((4, 3)), 1, 0.1, 0.9, 0.999, 1e-8, 0.1)[0])
+
+
+def _ref_batch_step_case(b=4096, n_items=2000, n_users=170, l_max=20, seed=0):
+    """A model and batch at the ref_batch benchmark shapes: B=4096 on 2,000
+    items, default model widths, a random SID table and random histories."""
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig()
+    table = np.zeros((n_items + 1, cfg.sid_levels), dtype=np.int64)
+    table[1:] = rng.integers(0, cfg.sid_codes, size=(n_items, cfg.sid_levels))
+    model = GateSidModel(n_items, n_users, table, cfg, seed=seed)
+    hist = rng.integers(1, n_items + 1, size=(b, l_max))
+    hist[np.arange(l_max) < rng.integers(0, l_max + 1, size=(b, 1))] = 0  # right-aligned
+    click = rng.integers(0, 2, size=b)
+    batch = {"target_ids": rng.integers(1, n_items + 1, size=b), "hist_ids": hist,
+             "user_ids": rng.integers(0, n_users, size=b),
+             "stats_raw": rng.uniform(0, 40, size=(b, cfg.n_stat)),
+             "click": click, "pay": click * rng.integers(0, 2, size=b)}
+    model.fit_stat_norm(batch["stats_raw"])
+    return model, batch
+
+
+def test_training_step_memory_bound():
+    # measured peak above the forward pass's live memory: 95 MB when backward
+    # kept every intermediate gradient and AdamW built its temporaries, 36 MB
+    # with gradients freed once consumed and the step in place
+    model, batch = _ref_batch_step_case()
+    opt = dk.AdamW(model.trainable_params(), lr=5e-3, weight_decay=1e-5)
+    tracemalloc.start()
+    try:
+        with dk.Tape() as tape:
+            loss, _ = model.loss(batch)
+            forward_live = tracemalloc.get_traced_memory()[0]
+            dk.backward(loss, tape)
+        model.zero_pad_grads()
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(out.grad is None for out, _ in tape._ops)
+    assert peak - forward_live < 60 * 2**20, f"{(peak - forward_live) / 2**20:.1f} MB"
 
 
 def test_adamw_missing_grad_raises():
