@@ -180,20 +180,13 @@ def cmd_gate_curve(rc):
             "last_bin_w": means[-1] if means else None}
 
 
-def _write_emb_csv(path, emb):
-    d = emb.shape[1]
-    lines = ["item_id," + ",".join(f"v{i+1}" for i in range(d))]
-    for i, row in enumerate(emb):
-        lines.append(f"{i+1}," + ",".join(repr(float(v)) for v in row))
-    dk.atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def cmd_export_emb(rc):
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     e_sid, e_item = model.item_embeddings()
-    _write_emb_csv(rc.emb_sid_csv, e_sid)
-    _write_emb_csv(rc.emb_item_csv, e_item)
+    ids = np.arange(1, e_sid.shape[0] + 1)
+    for path, emb in ((rc.emb_sid_csv, e_sid), (rc.emb_item_csv, e_item)):
+        dk.write_csv(path, ["item_id", *(f"v{i+1}" for i in range(emb.shape[1]))], ids, emb)
     return {"command": "export-emb", "emb_sid_csv": rc.emb_sid_csv,
             "emb_item_csv": rc.emb_item_csv, "n_items": int(e_sid.shape[0])}
 

@@ -4,7 +4,8 @@ One RunConfig carries all hyperparameters plus artifact paths, so a single
 key=value file (or --set overrides) reproduces any run. Every field of the
 module configs (CorpusConfig, RqVaeConfig, ModelConfig, TrainConfig) is a
 key of the same name, type and default, except where ``_WIRING`` renames it
-(the quantizer's ``rq_`` keys) or leaves it at the module default.
+(the quantizer's ``rq_`` keys) or, for the model's variant, passes it on its
+own.
 Desk-scale defaults are active; the reference-scale values are noted next
 to the module fields they replace.
 """
@@ -23,16 +24,15 @@ class ConfigError(ValueError):
 
 
 # Fields of the per-module configs that do not read the RunConfig key of the
-# same name: the key they read instead, or None for a field that the run
-# config leaves at the module default or, for the model's variant, passes on
-# its own. The quantizer's epochs, batch_size, lr and weight_decay must not
-# take the ranking model's training values.
+# same name: the key they read instead, or None for the model's variant, which
+# the run config passes on its own. The quantizer's epochs, batch_size and lr
+# must not take the ranking model's training values.
 _WIRING = {
     RqVaeConfig: {"latent_dim": "rq_latent_dim", "levels": "rq_levels",
                   "codes_per_level": "rq_codes", "hidden_dim": "rq_hidden",
                   "beta": "rq_beta", "epochs": "rq_epochs", "batch_size": "rq_batch",
                   "lr": "rq_lr", "ema_decay": "rq_ema_decay",
-                  "kmeans_iters": "rq_kmeans_iters", "weight_decay": None},
+                  "kmeans_iters": "rq_kmeans_iters"},
     ModelConfig: {"sid_levels": "rq_levels", "sid_codes": "rq_codes", "variant": None},
 }
 

@@ -1,5 +1,7 @@
 """Checkpoint file format: one JSON manifest line, then little-endian
-float64 blobs, one per named array, concatenated in manifest order."""
+float64 blobs, one per named array, concatenated in manifest order. The
+atomic writers and the CSV writer that every text artifact goes through
+live here too."""
 
 import json
 import os
@@ -25,6 +27,21 @@ def atomic_write_bytes(path, data):
 
 def atomic_write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+CSV_BLOCK = 1024  # rows whose Python numbers write_csv holds at once
+
+
+def write_csv(path, header, *columns):
+    """Write the header and line i: entry i of each column (an (n,) array, an (n, k) array
+    or a list of str) as .tolist() prints it; rows become Python numbers a block at a time."""
+    lines = [",".join(header)]
+    for lo in range(0, len(columns[0]), CSV_BLOCK):
+        block = [col[lo:lo + CSV_BLOCK] for col in columns]
+        fields = [col if isinstance(col, list) else map(str, col.tolist()) if col.ndim == 1
+                  else [",".join(map(str, row)) for row in col.tolist()] for col in block]
+        lines += map(",".join, zip(*fields))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_arrays(path, arrays, meta=None):

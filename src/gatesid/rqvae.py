@@ -35,7 +35,6 @@ class RqVaeConfig:
     epochs: int = 10
     batch_size: int = 256
     lr: float = 1e-3
-    weight_decay: float = 0.0
     ema_decay: float = 0.99
     kmeans_iters: int = 25
 
@@ -257,7 +256,7 @@ def train_rqvae(content_vectors, config=None, seed=0):
                          f"({bad.size} non-finite rows)")
     rng = np.random.default_rng([seed, 0xC0DE])
     params = init_autoencoder(config, rng)
-    opt = dk.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = dk.AdamW(params, lr=config.lr)
 
     codebook = _init_codebook(encode_latents(params, x), config, seed)
     L, K = config.levels, config.codes_per_level
@@ -368,12 +367,7 @@ def load_codebook(path):
 
 
 def save_sid_table(path, item_ids, sids):
-    levels = sids.shape[1]
-    header = "item_id," + ",".join(f"s{k+1}" for k in range(levels))
-    lines = [header]
-    for i, row in zip(item_ids, sids):
-        lines.append(f"{int(i)}," + ",".join(str(int(v)) for v in row))
-    dk.atomic_write_text(path, "\n".join(lines) + "\n")
+    dk.write_csv(path, ["item_id", *(f"s{k+1}" for k in range(sids.shape[1]))], item_ids, sids)
 
 
 def load_sid_table(path):

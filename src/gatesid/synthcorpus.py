@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .diffkernel import atomic_write_text
+from .diffkernel import CSV_BLOCK, write_csv
 
 
 @dataclasses.dataclass
@@ -38,7 +38,6 @@ class CorpusConfig:
     factor_clusters: int = 24     # latent taste communities, independent of topics
     user_anchors: int = 4         # topic/community anchors mixed per user
     drift_step: float = 0.08      # per-day random-walk step of the user state
-    hist_state_window: int = 10   # recent clicks blended into the effective state
     hist_state_blend: float = 0.95
     base_ctr: float = 0.03
     sem_gain: float = 0.6
@@ -56,7 +55,8 @@ class Corpus:
     item_quality: np.ndarray   # (n_items,) latent, in [0, 1]
     item_topic: np.ndarray     # (n_items,)
     item_factor: np.ndarray    # (n_items, factor_dim) latent collaborative factor
-    user_pref: np.ndarray      # (n_users, content_dim)
+    user_pref: np.ndarray      # (n_users, content_dim) the drawn preference, averaged over
+                               # the log window; latent, no stage reads it
     user_topic: np.ndarray     # (n_users,)
     user_factor: np.ndarray    # (n_users, factor_dim)
     # impressions, time-ordered
@@ -90,9 +90,8 @@ def generate_corpus(config=None, seed=0):
 def _draw_corpus(config, seed):
     """Every random draw, in order: the corpus without histories, clicks and
     pays, and the inputs of the state process that fills those in."""
-    if min(config.n_items, config.n_users, config.n_impressions, config.l_max,
-           config.hist_state_window) <= 0:
-        raise ValueError("generate_corpus: counts, l_max and hist_state_window must be positive")
+    if min(config.n_items, config.n_users, config.n_impressions, config.l_max) <= 0:
+        raise ValueError("generate_corpus: counts and l_max must be positive")
     rng = np.random.default_rng([seed, 0xDA7A])
 
     centers = rng.normal(size=(config.n_topics, config.content_dim))
@@ -180,12 +179,12 @@ def _matvecs(mats, vecs):
 
 
 def _play_rounds(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
-    """Fill in the histories, clicks and pays, and user_pref as each user's realized mean
-    effective preference. The state is per user, so round r evaluates every user's r-th
+    """Fill in the histories, clicks and pays: write imp_hist, imp_click and imp_pay
+    and nothing else. The state is per user, so round r evaluates every user's r-th
     impression at once; a gemv rounds by its row count, so reductions group rows of equal
     length, and every bit is as in a loop over one impression at a time."""
     c = corpus.config
-    l_max, recent, blend = c.l_max, c.hist_state_window, c.hist_state_blend
+    l_max, blend = c.l_max, c.hist_state_blend
     content, factor, users = corpus.item_content, corpus.item_factor, corpus.imp_user
     by_user = np.argsort(users, kind="stable")
     counts = np.bincount(users, minlength=c.n_users)
@@ -193,7 +192,6 @@ def _play_rounds(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
     # each user's clicks, oldest first; over 4 l_max, the last 2 l_max are kept
     clicked = np.zeros((c.n_users, 4 * l_max + 1), dtype=np.int64)
     n_clicked = np.zeros(c.n_users, dtype=np.int64)
-    pref_accum = np.zeros_like(corpus.user_pref)
     for r in range(counts.max()):
         i = by_user[starts[counts > r] + r]  # the r-th impression of each user that has one
         u, it, ts = users[i], corpus.imp_item[i], corpus.imp_ts[i]
@@ -204,18 +202,16 @@ def _play_rounds(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
         rows, cols = np.nonzero(keep & (from_end <= l_max))
         corpus.imp_hist[i[rows], l_max - from_end[rows, cols]] = held[rows, cols]
         hist, hlen = corpus.imp_hist[i], np.minimum(from_end[:, 0], l_max)
-        target, target_f, pref = content[it - 1], factor[it - 1], pref_ut[u, ts]
-        lat_aff = _matvecs(pref[:, None], target)[:, 0]
+        target, target_f = content[it - 1], factor[it - 1]
+        lat_aff = _matvecs(pref_ut[u, ts][:, None], target)[:, 0]
         lat_col = _matvecs(factor_ut[u, ts][:, None], target_f)[:, 0]
         affinity, collab_aff = lat_aff.copy(), lat_col.copy()
         for k in np.unique(hlen[hlen > 0]):
-            g, w = hlen == k, min(k, recent)
+            g = hlen == k
             hr = hist[g, l_max - k:] - 1
             # best-match interest: the closest history item counts, not an average
             affinity[g] = ((1.0 - blend) * lat_aff[g]
                            + blend * _matvecs(content[hr], target[g]).max(axis=1))
-            p = (1.0 - blend) * pref[g] + blend * (content[hr[:, k - w:]].sum(axis=1) / w)
-            pref[g] = p / np.sqrt(_matvecs(p[:, None], p))
         # the co-click community signal only exists on history items that
         # have been around long enough to accumulate interactions
         mature = (hist > 0) & (corpus.item_age[hist - 1] > 60)
@@ -225,7 +221,6 @@ def _play_rounds(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
             hm = hist[g][mature[g]].reshape(-1, k) - 1
             collab_aff[g] = ((1.0 - blend) * lat_col[g]
                              + blend * _matvecs(factor[hm], target_f[g]).max(axis=1))
-        pref_accum[u] += pref
         sem = 1.0 / (1.0 + np.exp(-8.0 * (affinity - 0.5)))
         collab = 1.0 / (1.0 + np.exp(-6.0 * (collab_aff - 0.45)))
         m, quality = mi[i], corpus.item_quality[it - 1]
@@ -240,11 +235,6 @@ def _play_rounds(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
         full = cu[n_clicked[cu] > 4 * l_max]
         clicked[full, :2 * l_max] = clicked[full, 2 * l_max + 1:]
         n_clicked[full] = 2 * l_max
-
-    # store the realized mean effective preference for probing/analysis
-    seen = counts > 0
-    corpus.user_pref[seen] = pref_accum[seen] / counts[seen, None]
-    corpus.user_pref /= np.linalg.norm(corpus.user_pref, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -313,37 +303,25 @@ def split_by_maturity(ages, new_threshold=20, popular_threshold=300):
 _IMPRESSION_HEADER = "user_id,item_id,history,click,pay,ts"
 _INT = r"\s*[+-]?[0-9]+\s*"
 _IMPRESSION_LINE = rf"{_INT},{_INT},(?:{_INT}(?:\|{_INT})*)?,{_INT},{_INT},{_INT}"
-_BLOCK = 1024  # rows whose Python numbers the CSV writer holds at once
-
-
-def _write_csv(path, header, *columns):
-    """Write the header and line i: entry i of each column (an (n,) array, an (n, k) array
-    or a list of str) as .tolist() prints it; rows become Python numbers a block at a time."""
-    lines = [",".join(header)]
-    for lo in range(0, len(columns[0]), _BLOCK):
-        block = [col[lo:lo + _BLOCK] for col in columns]
-        fields = [col if isinstance(col, list) else map(str, col.tolist()) if col.ndim == 1
-                  else [",".join(map(str, row)) for row in col.tolist()] for col in block]
-        lines += map(",".join, zip(*fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_corpus(dirpath, corpus):
     import os
     c = corpus.config
     factors = [f"f{i}" for i in range(c.factor_dim)]
-    _write_csv(os.path.join(dirpath, "items.csv"),
-               ["item_id,age,quality,topic", *(f"v{i}" for i in range(c.content_dim)), *factors],
-               np.arange(1, corpus.n_items + 1), corpus.item_age, corpus.item_quality,
-               corpus.item_topic, corpus.item_content, corpus.item_factor)
-    _write_csv(os.path.join(dirpath, "users.csv"),
-               ["user_id,topic", *(f"p{i}" for i in range(c.content_dim)), *factors],
-               np.arange(corpus.n_users), corpus.user_topic, corpus.user_pref, corpus.user_factor)
-    _write_csv(os.path.join(dirpath, "impressions.csv"), [_IMPRESSION_HEADER],
-               corpus.imp_user, corpus.imp_item,
-               ["|".join(map(str, filter(None, h))) for lo in range(0, len(corpus.imp_hist), _BLOCK)
-                for h in corpus.imp_hist[lo:lo + _BLOCK].tolist()],
-               corpus.imp_click, corpus.imp_pay, corpus.imp_ts)
+    write_csv(os.path.join(dirpath, "items.csv"),
+              ["item_id,age,quality,topic", *(f"v{i}" for i in range(c.content_dim)), *factors],
+              np.arange(1, corpus.n_items + 1), corpus.item_age, corpus.item_quality,
+              corpus.item_topic, corpus.item_content, corpus.item_factor)
+    write_csv(os.path.join(dirpath, "users.csv"),
+              ["user_id,topic", *(f"p{i}" for i in range(c.content_dim)), *factors],
+              np.arange(corpus.n_users), corpus.user_topic, corpus.user_pref, corpus.user_factor)
+    write_csv(os.path.join(dirpath, "impressions.csv"), [_IMPRESSION_HEADER],
+              corpus.imp_user, corpus.imp_item,
+              ["|".join(map(str, filter(None, h)))
+               for lo in range(0, len(corpus.imp_hist), CSV_BLOCK)
+               for h in corpus.imp_hist[lo:lo + CSV_BLOCK].tolist()],
+              corpus.imp_click, corpus.imp_pay, corpus.imp_ts)
 
 
 def _vector_columns(header, prefix):
@@ -372,9 +350,16 @@ def _read_numeric(path, first_id):
         except ValueError as exc:
             f.seek(0)  # name the first line that numpy rejects on its own
             for k, line in enumerate(f.read().splitlines()[1:], start=2):
+                data = line.split("#")[0]  # loadtxt skips blank and comment lines
+                if not data:
+                    continue
+                # a line of another width parses alone; loadtxt objects only to the change
+                fields = data.count(",") + 1
+                if fields != len(header):
+                    raise ValueError(f"{path} line {k}: {fields} fields, "
+                                     f"the header has {len(header)}") from None
                 try:
-                    if line.split("#")[0]:  # loadtxt skips blank and comment lines
-                        np.loadtxt([line], delimiter=",", ndmin=2)
+                    np.loadtxt([line], delimiter=",", ndmin=2)
                 except ValueError as line_exc:  # loadtxt's " at row 0, ..." counts this line alone
                     raise ValueError(f"{path} line {k}: "
                                      + str(line_exc).split(" at row ")[0]) from None

@@ -22,15 +22,11 @@ def play_sequentially(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
     imp_user, imp_item, imp_ts = corpus.imp_user, corpus.imp_item, corpus.imp_ts
     item_content, item_factor = corpus.item_content, corpus.item_factor
     item_age, item_quality = corpus.item_age, corpus.item_quality
-    user_pref = corpus.user_pref
 
     imp_hist = np.zeros((n, config.l_max), dtype=np.int64)
     click = np.zeros(n, dtype=np.int64)
     pay = np.zeros(n, dtype=np.int64)
     user_hist = [[] for _ in range(config.n_users)]
-    pref_accum = np.zeros_like(user_pref)
-    pref_count = np.zeros(config.n_users)
-    recent = config.hist_state_window
     blend = config.hist_state_blend
     for i in range(n):
         u = imp_user[i]
@@ -55,15 +51,9 @@ def play_sequentially(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
                               + blend * (item_factor[hm] @ item_factor[it]).max())
             else:
                 collab_aff = lat_col
-            pref = ((1.0 - blend) * pref_ut[u, ts]
-                    + blend * item_content[hr[-recent:]].mean(axis=0))
-            pref /= np.linalg.norm(pref)
         else:
             affinity = lat_aff
             collab_aff = lat_col
-            pref = pref_ut[u, ts]
-        pref_accum[u] += pref
-        pref_count[u] += 1
 
         sem = 1.0 / (1.0 + np.exp(-8.0 * (affinity - 0.5)))
         collab = 1.0 / (1.0 + np.exp(-6.0 * (collab_aff - 0.45)))
@@ -82,10 +72,5 @@ def play_sequentially(corpus, pref_ut, factor_ut, mi, click_u, flip, pay_u):
             user_hist[u].append(int(imp_item[i]))
             if len(user_hist[u]) > 4 * config.l_max:
                 user_hist[u] = user_hist[u][-2 * config.l_max:]
-
-    # store the realized mean effective preference for probing/analysis
-    seen = pref_count > 0
-    user_pref[seen] = pref_accum[seen] / pref_count[seen, None]
-    user_pref /= np.linalg.norm(user_pref, axis=1, keepdims=True)
 
     corpus.imp_hist, corpus.imp_click, corpus.imp_pay = imp_hist, click, pay

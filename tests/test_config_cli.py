@@ -113,10 +113,9 @@ def test_config_views_wire_every_key():
     for key, names in readers.items():
         assert len(names) == (2 if key in SHARED_KEYS else 1), (key, names)
     # the quantizer never takes the ranking model's training values
-    rc = config.build_config(None, ["epochs=7", "batch_size=64", "lr=0.5",
-                                    "weight_decay=0.25"])
+    rc = config.build_config(None, ["epochs=7", "batch_size=64", "lr=0.5"])
     rq = config.rqvae_config(rc)
-    assert (rq.epochs, rq.batch_size, rq.lr, rq.weight_decay) == (10, 256, 1e-3, 0.0)
+    assert (rq.epochs, rq.batch_size, rq.lr) == (10, 256, 1e-3)
 
 
 def test_config_view_defaults_match_module_defaults():
@@ -400,6 +399,10 @@ CORRUPT_CORPUS = {
                            "items.csv line 4: could not convert string 'abc' to float"),
     "users-not-a-number": ("users.csv", lambda ls: _set_field(ls, 5, 3, "1.2.3"),
                            "users.csv line 6: could not convert string '1.2.3' to float"),
+    "items-short-line": ("items.csv", lambda ls: _set_line_fields(ls, 3, ls[3].split(",")[:-1]),
+                         "items.csv line 4: 27 fields, the header has 28"),
+    "users-long-line": ("users.csv", lambda ls: _set_line_fields(ls, 3, ls[3].split(",") + ["0"]),
+                        "users.csv line 4: 27 fields, the header has 26"),
     "items-fractional-age": ("items.csv", lambda ls: _set_field(ls, 3, 1, "3.5"),
                              "items.csv line 4: age 3.5 is not an integer"),
     "users-out-of-order": ("users.csv", lambda ls: _swap(ls, 5, 6),

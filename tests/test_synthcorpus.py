@@ -54,7 +54,7 @@ def test_pay_implies_click(small_corpus):
 
 
 def test_invalid_config_rejected():
-    for key in ("n_items", "n_users", "n_impressions", "l_max", "hist_state_window"):
+    for key in ("n_items", "n_users", "n_impressions", "l_max"):
         with pytest.raises(ValueError, match="must be positive"):
             synthcorpus.generate_corpus(small_corpus_config(**{key: 0}))
 
@@ -68,7 +68,6 @@ REFERENCE_CONFIGS = {
     "ref_batch": synthcorpus.CorpusConfig(n_users=170, n_items=2000, n_impressions=20000),
     "l_max-1": small_corpus_config(l_max=1),  # the click buffer trims every few clicks
     "l_max-2": small_corpus_config(l_max=2),
-    "window-over-l_max": small_corpus_config(hist_state_window=12),
     "all-cold": small_corpus_config(cold_fraction=1.0),  # no mature history: collab fallback
     "one-user": small_corpus_config(n_users=1, n_impressions=500),
 }
@@ -88,6 +87,25 @@ def test_generator_matches_sequential_reference_bitwise(case):
         assert clicks.max() > 4 * cfg.l_max
     if case == "all-cold":
         assert got.item_age.max() <= 60
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CONFIGS))
+def test_state_process_writes_only_histories_clicks_and_pays(case):
+    """The rounds fill in imp_hist, imp_click and imp_pay; every other corpus
+    array and every input keeps its drawn bits, and user_pref stays the
+    normalised day-mean of the drawn preference."""
+    corpus, drift = synthcorpus._draw_corpus(REFERENCE_CONFIGS[case], 7)
+    drawn = {name: getattr(corpus, name).copy() for name in CORPUS_ARRAYS}
+    inputs = [a.copy() for a in drift]
+    synthcorpus._play_rounds(corpus, *drift)
+    for name in sorted(set(CORPUS_ARRAYS) - {"imp_hist", "imp_click", "imp_pay"}):
+        got = getattr(corpus, name)
+        assert got.dtype == drawn[name].dtype and got.tobytes() == drawn[name].tobytes(), name
+    for got, want in zip(drift, inputs):
+        assert got.tobytes() == want.tobytes()
+    pref = inputs[0].mean(axis=1)
+    pref /= np.linalg.norm(pref, axis=1, keepdims=True)
+    assert corpus.user_pref.tobytes() == pref.tobytes()
 
 
 def test_history_is_past_clicks_without_target(small_corpus):
