@@ -1,11 +1,16 @@
 """Dense float64 tensors with reverse-mode autodiff on an explicit tape.
 
-Ops record a backward closure on the currently active Tape; calling
-``backward(loss, tape)`` replays the tape in reverse and accumulates
-gradients into every ``requires_grad`` leaf. The tape is rebuilt for every
-forward pass -- there is no graph caching. Gradients are owned, not copied
-(see ``_accum``), and ``backward`` frees each op output's gradient once its
-op has consumed it: after ``backward`` only leaves keep ``.grad``.
+Each Tensor keeps its gradient in a separate ``Slot`` (grad, shape,
+requires_grad). Ops record ``(output slot, backward closure)`` on the
+currently active Tape, and a closure holds its inputs' slots plus only the
+arrays its backward reads, never a Tensor. So the tape holds gradient
+slots, not values: an op output's values die with their last reference
+unless some backward reads them. ``backward(loss, tape)`` replays the tape
+in reverse and accumulates gradients into every ``requires_grad`` leaf. The
+tape is rebuilt for every forward pass -- there is no graph caching.
+Gradients are owned, not copied (see ``_accum``), and ``backward`` frees
+each op output's gradient once its op has consumed it: after ``backward``
+only leaves keep ``.grad``.
 """
 
 import numpy as np
@@ -29,7 +34,7 @@ class Tape:
     _active = None
 
     def __init__(self):
-        self._ops = []  # list of (out_tensor, closure(grad))
+        self._ops = []  # list of (out_slot, closure(grad))
 
     def __enter__(self):
         if Tape._active is not None:
@@ -42,22 +47,45 @@ class Tape:
         return False
 
 
-class Tensor:
-    """Row-major float64 array with an optional gradient slot."""
+class Slot:
+    """A tensor's gradient, apart from its values: what the tape and the
+    backward closures hold."""
 
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("grad", "shape", "requires_grad")
+
+    def __init__(self, shape, requires_grad):
+        self.grad = None
+        self.shape = shape
+        self.requires_grad = requires_grad
+
+
+class Tensor:
+    """Row-major float64 array with a gradient slot."""
+
+    __slots__ = ("values", "slot")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = Slot(self.values.shape, bool(requires_grad))
 
     @property
     def shape(self):
         return self.values.shape
 
+    @property
+    def requires_grad(self):
+        return self.slot.requires_grad
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.slot.grad = g
+
     def zero_grad(self):
-        self.grad = None
+        self.slot.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -73,26 +101,30 @@ def glorot(rng, fan_in, fan_out):
     return Tensor(rng.normal(0.0, s, size=(fan_in, fan_out)), requires_grad=True)
 
 
-def _accum(t, g):
-    """Add gradient ``g`` into ``t.grad``. Ownership rule: an op hands each
+def _accum(slot, g):
+    """Add gradient ``g`` into ``slot.grad``. Ownership rule: an op hands each
     input a ``g`` that nothing else holds (a fresh array, or a view of one
-    that no other input shares), so a first ``g`` of ``t``'s shape becomes
-    ``t.grad`` itself; ``+ 0.0`` in place turns -0.0 into +0.0 as a copy would."""
-    if not t.requires_grad:
+    that no other input shares), so a first ``g`` of the slot's shape becomes
+    ``slot.grad`` itself; ``+ 0.0`` in place turns -0.0 into +0.0 as a copy would."""
+    if not slot.requires_grad:
         return
-    if t.grad is not None:
-        t.grad += g
-    elif isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == t.values.shape:
-        t.grad = np.add(g, 0.0, out=g)
+    if slot.grad is not None:
+        slot.grad += g
+    elif isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == slot.shape:
+        slot.grad = np.add(g, 0.0, out=g)
     else:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
+        slot.grad = np.add(g, 0.0, out=np.empty(slot.shape))
 
 
 def _make(values, inputs, backward_fn):
+    """Wrap an op's output; record its slot and ``backward_fn`` on the active
+    tape. ``backward_fn`` must reach its inputs through their slots and the
+    arrays its backward reads, never through a Tensor, so that no output's
+    values outlive their last use."""
     out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
     tape = Tape._active
-    if out.requires_grad and tape is not None:
-        tape._ops.append((out, backward_fn))
+    if out.slot.requires_grad and tape is not None:
+        tape._ops.append((out.slot, backward_fn))
     return out
 
 
@@ -109,9 +141,11 @@ def add(a, b):
     if a.shape != b.shape:
         raise ShapeError("add", a.shape, b.shape)
 
+    sa, sb = a.slot, b.slot
+
     def bw(g):
-        _accum(a, g)
-        _accum(b, g + 0.0)  # its own array: a may have adopted g
+        _accum(sa, g)
+        _accum(sb, g + 0.0)  # its own array: a may have adopted g
 
     return _make(a.values + b.values, (a, b), bw)
 
@@ -120,9 +154,11 @@ def sub(a, b):
     if a.shape != b.shape:
         raise ShapeError("sub", a.shape, b.shape)
 
+    sa, sb = a.slot, b.slot
+
     def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
+        _accum(sa, g)
+        _accum(sb, -g)
 
     return _make(a.values - b.values, (a, b), bw)
 
@@ -130,15 +166,19 @@ def sub(a, b):
 def affine(x, scale=1.0, shift=0.0):
     """scale * x + shift, with float constants."""
 
+    sx = x.slot
+
     def bw(g):
-        _accum(x, scale * g)
+        _accum(sx, scale * g)
 
     return _make(scale * x.values + shift, (x,), bw)
 
 
 def square(x):
+    sx, xv = x.slot, x.values
+
     def bw(g):
-        _accum(x, 2.0 * g * x.values)
+        _accum(sx, 2.0 * g * xv)
 
     return _make(x.values * x.values, (x,), bw)
 
@@ -147,18 +187,19 @@ def sigmoid(x):
     _check_finite("sigmoid", x)
     z = np.exp(-np.abs(x.values))
     v = np.where(x.values >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    sx = x.slot
 
     def bw(g):
-        _accum(x, g * v * (1.0 - v))
+        _accum(sx, g * v * (1.0 - v))
 
     return _make(v, (x,), bw)
 
 
 def relu(x):
-    mask = x.values > 0
+    mask, sx = x.values > 0, x.slot
 
     def bw(g):
-        _accum(x, g * mask)
+        _accum(sx, g * mask)
 
     return _make(np.where(mask, x.values, 0.0), (x,), bw)
 
@@ -172,10 +213,11 @@ def matmul(a, b):
     if b.values.ndim != 2 or a.values.ndim < 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
 
+    sa, sb, av, bv = a.slot, b.slot, a.values, b.values
+
     def bw(g):
-        _accum(a, np.matmul(g, b.values.T))
-        k = a.shape[-1]
-        _accum(b, a.values.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
+        _accum(sa, np.matmul(g, bv.T))
+        _accum(sb, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _make(np.matmul(a.values, b.values), (a, b), bw)
 
@@ -185,9 +227,11 @@ def add_bias(x, b):
     if b.values.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError("add_bias", x.shape, b.shape)
 
+    sx, sb = x.slot, b.slot
+
     def bw(g):
-        _accum(x, g)
-        _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        _accum(sx, g)
+        _accum(sb, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _make(x.values + b.values, (x, b), bw)
 
@@ -201,13 +245,14 @@ def concat(parts, axis=-1):
         if len(s) != len(base) or any(s[i] != base[i] for i in range(len(s)) if i != ax):
             raise ShapeError("concat", *[p.shape for p in parts])
     sizes = [p.shape[ax] for p in parts]
+    slots = [p.slot for p in parts]
 
     def bw(g):
         offs = np.cumsum([0] + sizes)
-        for p, lo, hi in zip(parts, offs[:-1], offs[1:]):
+        for sp, lo, hi in zip(slots, offs[:-1], offs[1:]):
             sl = [slice(None)] * g.ndim
             sl[ax] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
+            _accum(sp, g[tuple(sl)])
 
     return _make(np.concatenate([p.values for p in parts], axis=ax), parts, bw)
 
@@ -234,9 +279,10 @@ def gather_rows(table, idx):
         raise ShapeError("gather_rows", table.shape)
     idx = np.asarray(idx)
     _check_rows("gather_rows", idx, table.shape[0])
+    st = table.slot
 
     def bw(g):
-        _accum(table, _scatter_rows(table.shape[0], idx, g))
+        _accum(st, _scatter_rows(st.shape[0], idx, g))
 
     return _make(table.values[idx], (table,), bw)
 
@@ -245,10 +291,12 @@ def take_column(x, j):
     if x.values.ndim != 2 or not (0 <= j < x.shape[1]):
         raise ShapeError("take_column", x.shape)
 
+    sx = x.slot
+
     def bw(g):
-        gx = np.zeros_like(x.values)
+        gx = np.zeros(sx.shape)
         gx[:, j] = g
-        _accum(x, gx)
+        _accum(sx, gx)
 
     return _make(x.values[:, j], (x,), bw)
 
@@ -258,10 +306,10 @@ def take_column(x, j):
 
 
 def tmean(x):
-    n = x.values.size
+    n, sx = x.values.size, x.slot
 
     def bw(g):
-        _accum(x, np.full_like(x.values, float(g) / n))
+        _accum(sx, np.full(sx.shape, float(g) / n))
 
     return _make(np.asarray(x.values.mean()), (x,), bw)
 
@@ -290,10 +338,11 @@ def row_softmax(x, mask=None):
     e = np.exp(shifted - m)
     denom = e.sum(axis=1, keepdims=True)
     s = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+    sx = x.slot
 
     def bw(g):
         inner = (g * s).sum(axis=1, keepdims=True)
-        _accum(x, s * (g - inner))
+        _accum(sx, s * (g - inner))
 
     return _make(s, (x,), bw)
 
@@ -316,14 +365,20 @@ def _scatter_outer(n_rows, idx, w, v):
 
     One bincount per column j, over the (B,L) products w * v[:, j]: every
     bin adds the same products in slot order as ``_scatter_rows`` on the
-    (B,L,D) products does, so the two agree bitwise.
+    (B,L,D) products does, so the two agree bitwise. For a finite v, slots
+    of weight ±0 (the pad slots) are left out: their products are ±0, and
+    adding ±0 changes no bin sum, which starts at +0.0 and so is never -0.0.
     """
-    flat = idx.ravel()
+    flat, w = idx.ravel(), w.ravel()
+    rows = np.repeat(np.arange(v.shape[0]), idx.shape[1])
+    if np.isfinite(v).all():
+        keep = np.flatnonzero(w)
+        flat, w, rows = flat[keep], w[keep], rows[keep]
     prod = np.empty(w.shape)
     out = np.empty((n_rows, v.shape[1]))
-    for j, col in enumerate(v.T.copy()):  # contiguous columns multiply faster
-        np.multiply(w, col[:, None], out=prod)
-        out[:, j] = np.bincount(flat, weights=prod.ravel(), minlength=n_rows)
+    for j, col in enumerate(v.T.copy()):  # contiguous columns gather faster
+        np.multiply(w, np.take(col, rows, out=prod), out=prod)
+        out[:, j] = np.bincount(flat, weights=prod, minlength=n_rows)
     return out
 
 
@@ -335,13 +390,14 @@ def attention_scores(q, keys, idx):
             or idx.ndim != 2 or idx.shape[0] != q.shape[0]):
         raise ShapeError("attention_scores", q.shape, keys.shape, idx.shape)
     _check_rows("attention_scores", idx, keys.shape[0])
+    sq, sk, qv, kv = q.slot, keys.slot, q.values, keys.values
 
     def bw(g):
-        dq = np.empty((q.shape[0], 1, q.shape[1]))
-        for blk, k in _row_blocks(keys.values, idx):
+        dq = np.empty((qv.shape[0], 1, qv.shape[1]))
+        for blk, k in _row_blocks(kv, idx):
             np.matmul(g[blk, None, :], k, out=dq[blk])
-        _accum(q, dq[:, 0])
-        _accum(keys, _scatter_outer(keys.shape[0], idx, g, q.values))
+        _accum(sq, dq[:, 0])
+        _accum(sk, _scatter_outer(kv.shape[0], idx, g, qv))
 
     out = np.empty(idx.shape + (1,))
     for blk, k in _row_blocks(keys.values, idx):
@@ -356,13 +412,14 @@ def attention_pool(s, rows, idx):
     if s.values.ndim != 2 or rows.values.ndim != 2 or idx.shape != s.shape:
         raise ShapeError("attention_pool", s.shape, rows.shape, idx.shape)
     _check_rows("attention_pool", idx, rows.shape[0])
+    ss, sr, sv, rv = s.slot, rows.slot, s.values, rows.values
 
     def bw(g):
         ds = np.empty(idx.shape + (1,))
-        for blk, r in _row_blocks(rows.values, idx):
+        for blk, r in _row_blocks(rv, idx):
             np.matmul(r, g[blk, :, None], out=ds[blk])
-        _accum(s, ds[:, :, 0])
-        _accum(rows, _scatter_outer(rows.shape[0], idx, s.values, g))
+        _accum(ss, ds[:, :, 0])
+        _accum(sr, _scatter_outer(rv.shape[0], idx, sv, g))
 
     out = np.empty((s.shape[0], 1, rows.shape[1]))
     for blk, r in _row_blocks(rows.values, idx):
@@ -375,9 +432,11 @@ def scale_rows(s, w):
     if s.values.ndim != 2 or w.shape != (s.shape[0], 1):
         raise ShapeError("scale_rows", s.shape, w.shape)
 
+    ss, sw, sv, wv = s.slot, w.slot, s.values, w.values
+
     def bw(g):
-        _accum(s, g * w.values)
-        _accum(w, (g * s.values).sum(axis=1, keepdims=True))
+        _accum(ss, g * wv)
+        _accum(sw, (g * sv).sum(axis=1, keepdims=True))
 
     return _make(s.values * w.values, (s, w), bw)
 
@@ -424,10 +483,11 @@ def info_nce(a, b, w, tau):
         raise ValueError("info_nce: a diagonal probability underflows to 0")
     ga = (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na
     gb = (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb
+    sa, sb = a.slot, b.slot
 
     def bw(g):
-        _accum(a, g * ga)
-        _accum(b, g * gb)
+        _accum(sa, g * ga)
+        _accum(sb, g * gb)
 
     return _make(np.asarray(((0.0 - np.log(diag)) * w).sum()), (a, b), bw)
 
@@ -439,11 +499,12 @@ def bce_with_logits(logits, labels):
         raise ShapeError("bce_with_logits", logits.shape, y.shape)
     z = logits.values
     v = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
+    sl = logits.slot
 
     def bw(g):
         zpos = np.exp(-np.abs(z))
         p = np.where(z >= 0, 1.0 / (1.0 + zpos), zpos / (1.0 + zpos))
-        _accum(logits, g * (p - y))
+        _accum(sl, g * (p - y))
 
     return _make(v, (logits,), bw)
 
@@ -462,11 +523,11 @@ def backward(loss, tape):
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
-    for out, _ in tape._ops:
-        out.grad = None
+    for slot, _ in tape._ops:
+        slot.grad = None
     loss.grad = np.ones_like(loss.values)
-    for out, fn in reversed(tape._ops):
-        g, out.grad = out.grad, None
+    for slot, fn in reversed(tape._ops):
+        g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)
 

@@ -131,24 +131,39 @@ def kmeans_fit(vectors, k, iters=25, seed=0):
     if distinct.shape[0] < k:
         raise ValueError(f"kmeans_fit: need at least {k} distinct vectors, got {distinct.shape[0]}")
     rng = np.random.default_rng(seed)
+    n, d = x.shape
+    fin = np.finfo(x.dtype)
 
-    # k-means++ init
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(x.shape[0])]
+    # k-means++ init. d2 is each point's exact squared distance
+    # ((x - c) ** 2).sum() to its nearest centre so far. A new centre's GEMM
+    # estimate settles every point that it leaves farther than d2 by more than
+    # the rounding bound of ``nearest_code``; only the rest take the exact
+    # formula, so d2 keeps the bits of the exact minimum over all centres.
+    xx = (x * x).sum(axis=1)
+    xn = np.sqrt(xx)
+    centroids = np.empty((k, d))
+    centroids[0] = x[rng.integers(n)]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(x.shape[0], 1.0 / x.shape[0])
-        centroids[j] = x[rng.choice(x.shape[0], p=probs)]
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        c = centroids[j] = x[rng.choice(n, p=probs)]
+        cc = c @ c
+        est = x @ c
+        est *= -2.0
+        est += xx
+        est += cc
+        est -= 2 * (d + 4) * fin.eps * (xn + np.sqrt(cc)) ** 2 + fin.tiny
+        near = np.flatnonzero(~(est > d2))
+        d2[near] = np.minimum(d2[near], ((x[near] - c) ** 2).sum(axis=1))
 
     for _ in range(iters):
         assign, dmin = nearest_code(x, centroids)
-        for j in range(k):
-            members = x[assign == j]
-            if members.shape[0] == 0:
-                centroids[j] = x[dmin.argmax()]
-            else:
-                centroids[j] = members.mean(axis=0)
+        # the points cluster by cluster, each cluster in index order
+        xs = x[np.argsort(assign, kind="stable")]
+        counts = np.bincount(assign, minlength=k)
+        ends = np.cumsum(counts)
+        for j, (lo, hi) in enumerate(zip(ends - counts, ends)):
+            centroids[j] = xs[lo:hi].mean(axis=0) if hi > lo else x[dmin.argmax()]
     return centroids
 
 

@@ -1,9 +1,11 @@
 """Tape ops that only the tests use, built on diffkernel's recording
 helpers: the scalar sum and the elementwise product that test losses are
 made of, and the dense InfoNCE composition that ``diffkernel.info_nce``
-replaced, kept as its reference implementation. The composition's three ops
-(cosine_matrix, softmax_diag, tlog) each hold an (N, N) array. Also the
-out-of-place AdamW update, the reference for ``AdamW.step``'s in-place one."""
+replaced, kept as its reference implementation. Like diffkernel's ops, each
+backward closure holds its inputs' slots and the arrays it reads, never a
+Tensor. The composition's three ops (cosine_matrix, softmax_diag, tlog)
+each hold an (N, N) array. Also the out-of-place AdamW update, the
+reference for ``AdamW.step``'s in-place one."""
 
 import numpy as np
 
@@ -15,16 +17,20 @@ def mul(a, b):
     if a.shape != b.shape:
         raise dk.ShapeError("mul", a.shape, b.shape)
 
+    sa, sb, av, bv = a.slot, b.slot, a.values, b.values
+
     def bw(g):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
+        _accum(sa, g * bv)
+        _accum(sb, g * av)
 
     return _make(a.values * b.values, (a, b), bw)
 
 
 def tsum(x):
+    sx = x.slot
+
     def bw(g):
-        _accum(x, np.full_like(x.values, float(g)))
+        _accum(sx, np.full(sx.shape, float(g)))
 
     return _make(np.asarray(x.values.sum()), (x,), bw)
 
@@ -39,12 +45,13 @@ def cosine_matrix(a, b):
         raise ValueError("cosine_matrix: zero-norm embedding")
     an = a.values / na
     bn = b.values / nb
+    sa, sb = a.slot, b.slot
 
     def bw(g):
         gan = g @ bn
         gbn = g.T @ an
-        _accum(a, (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na)
-        _accum(b, (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb)
+        _accum(sa, (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na)
+        _accum(sb, (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb)
 
     return _make(an @ bn.T, (a, b), bw)
 
@@ -57,13 +64,14 @@ def softmax_diag(x):
     e = np.exp(x.values - np.max(x.values, axis=1, keepdims=True))
     s = np.divide(e, e.sum(axis=1, keepdims=True), out=e)
     d = np.diagonal(s).copy()
+    sx = x.slot
 
     def bw(g):
         gd = g + 0.0
         inner = gd * d + 0.0
         gx = s * (0.0 - inner)[:, None]
         np.fill_diagonal(gx, d * (gd - inner))
-        _accum(x, gx)
+        _accum(sx, gx)
 
     return _make(d, (x,), bw)
 
@@ -71,9 +79,10 @@ def softmax_diag(x):
 def tlog(x):
     if np.any(x.values <= 0):
         raise ValueError("log: input must be strictly positive")
+    sx, xv = x.slot, x.values
 
     def bw(g):
-        _accum(x, g / x.values)
+        _accum(sx, g / xv)
 
     return _make(np.log(x.values), (x,), bw)
 

@@ -252,9 +252,11 @@ def test_zero_pad_grads_freezes_pad_row():
 def slot_scores(q, k):
     """Per-slot dot products: q (B,d), k (B,L,d) -> (B,L)."""
 
+    sq, sk, qv, kv = q.slot, k.slot, q.values, k.values
+
     def bw(g):
-        _accum(q, np.einsum("bl,bld->bd", g, k.values))
-        _accum(k, np.einsum("bl,bd->bld", g, q.values))
+        _accum(sq, np.einsum("bl,bld->bd", g, kv))
+        _accum(sk, np.einsum("bl,bd->bld", g, qv))
 
     return _make(np.einsum("bd,bld->bl", q.values, k.values), (q, k), bw)
 
@@ -262,9 +264,11 @@ def slot_scores(q, k):
 def slot_pool(s, h):
     """Per-slot weighted pooling: s (B,L), h (B,L,D) -> (B,D)."""
 
+    ss, sh, sv, hv = s.slot, h.slot, s.values, h.values
+
     def bw(g):
-        _accum(s, np.einsum("bd,bld->bl", g, h.values))
-        _accum(h, np.einsum("bl,bd->bld", s.values, g))
+        _accum(ss, np.einsum("bd,bld->bl", g, hv))
+        _accum(sh, np.einsum("bl,bd->bld", sv, g))
 
     return _make(np.einsum("bl,bld->bd", s.values, h.values), (s, h), bw)
 

@@ -126,6 +126,71 @@ def test_kmeans_beats_random_assignment_baseline():
     assert rqvae.nearest_code(pts, cents)[1].sum() <= rqvae.nearest_code(pts, base)[1].sum()
 
 
+def kmeans_fit_oracle(vectors, k, iters=25, seed=0):
+    """The plain k-means loop that ``rqvae.kmeans_fit`` must match bit for
+    bit: exact distances to every new k-means++ centre, and each centroid as
+    the mean of a boolean-mask selection."""
+    x = np.asarray(vectors, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(x.shape[0])]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(x.shape[0], 1.0 / x.shape[0])
+        centroids[j] = x[rng.choice(x.shape[0], p=probs)]
+        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+    for _ in range(iters):
+        assign, dmin = rqvae.nearest_code(x, centroids)
+        for j in range(k):
+            members = x[assign == j]
+            if members.shape[0] == 0:
+                centroids[j] = x[dmin.argmax()]
+            else:
+                centroids[j] = members.mean(axis=0)
+    return centroids
+
+
+KMEANS_CASES = ["random", "duplicated-rows", "equidistant-ties", "d1", "magnitudes",
+                "offset-1e6", "k-equals-distinct", "many-chunks"]
+
+
+def _kmeans_case(name):
+    """(points, k) for one case of the oracle comparison."""
+    rng = np.random.default_rng(100 + KMEANS_CASES.index(name))
+    if name == "random":
+        return rng.normal(size=(600, 16)), 32
+    if name == "duplicated-rows":
+        base = rng.normal(size=(40, 8))
+        return base[rng.integers(40, size=500)], 24
+    if name == "equidistant-ties":
+        # integer grid points: many exact distance ties between centres
+        return rng.integers(-3, 4, size=(400, 3)).astype(float), 20
+    if name == "d1":
+        return rng.normal(size=(300, 1)), 16
+    if name == "magnitudes":
+        # rows scaled by 1e-100 ... 1e100; squares stay finite and normal
+        scale = 10.0 ** rng.integers(-100, 101, size=(500, 1))
+        return scale * rng.normal(size=(500, 8)), 32
+    if name == "offset-1e6":
+        # |x|^2 and |c|^2 ~ 1e13 cancel in the GEMM estimate: no point is settled
+        return 1e6 + 1e-6 * rng.normal(size=(300, 16)), 24
+    if name == "k-equals-distinct":
+        base = rng.normal(size=(30, 6))
+        return base[np.concatenate([np.arange(30), rng.integers(30, size=90)])], 30
+    if name == "many-chunks":
+        return rng.normal(size=(2 * rqvae._ROW_CHUNK + 37, 4)), 48
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", KMEANS_CASES)
+def test_kmeans_matches_loop_oracle_bitwise(case):
+    x, k = _kmeans_case(case)
+    for seed in (0, 1):
+        got = rqvae.kmeans_fit(x, k, iters=4, seed=seed)
+        want = kmeans_fit_oracle(x, k, iters=4, seed=seed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+
+
 def test_kmeans_needs_enough_distinct_points():
     pts = np.tile(np.array([[1.0, 2.0]]), (10, 1))
     with pytest.raises(ValueError):
