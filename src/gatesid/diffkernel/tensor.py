@@ -6,7 +6,9 @@ currently active Tape, and a closure holds its inputs' slots plus only the
 arrays its backward reads, never a Tensor. So the tape holds gradient
 slots, not values: an op output's values die with their last reference
 unless some backward reads them. ``backward(loss, tape)`` replays the tape
-in reverse and accumulates gradients into every ``requires_grad`` leaf. The
+in reverse, once, and accumulates gradients into every ``requires_grad``
+leaf. It drops each closure as it runs it, so the arrays an op saved die as
+soon as its gradient is done; a consumed tape takes no second backward. The
 tape is rebuilt for every forward pass -- there is no graph caching.
 Gradients are owned, not copied (see ``_accum``), and ``backward`` frees
 each op output's gradient once its op has consumed it: after ``backward``
@@ -213,11 +215,16 @@ def matmul(a, b):
     if b.values.ndim != 2 or a.values.ndim < 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
 
-    sa, sb, av, bv = a.slot, b.slot, a.values, b.values
+    sa, sb, saved = a.slot, b.slot, [a.values, b.values]
 
     def bw(g):
-        _accum(sa, np.matmul(g, bv.T))
+        # the weight gradient first, so that a's values (often the largest
+        # array saved) can die before a's gradient is built
+        av, bv = saved
+        saved.clear()
         _accum(sb, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        del av
+        _accum(sa, np.matmul(g, bv.T))
 
     return _make(np.matmul(a.values, b.values), (a, b), bw)
 
@@ -514,19 +521,26 @@ def bce_with_logits(logits, labels):
 
 
 def backward(loss, tape):
-    """Seed d(loss)/d(loss)=1 and replay ``tape`` in reverse.
+    """Seed d(loss)/d(loss)=1 and replay ``tape`` in reverse, once.
 
     Each op output's gradient is taken out of its slot before the op's
     closure runs, so it is freed once consumed and only leaves keep
-    ``.grad``. The closures stay on the tape: repeated calls accumulate
-    cleanly into leaf tensors.
+    ``.grad``. Each entry ``(slot, fn)`` becomes ``(slot, None)`` before
+    ``fn`` runs, so an op's saved arrays die as soon as its gradient is
+    done. The tape keeps one entry per recorded op; a second call on it
+    raises ``RuntimeError``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.values.shape}")
-    for slot, _ in tape._ops:
+    ops = tape._ops
+    if any(fn is None for _, fn in ops):
+        raise RuntimeError("backward: the tape was consumed by an earlier backward")
+    for slot, _ in ops:
         slot.grad = None
     loss.grad = np.ones_like(loss.values)
-    for slot, fn in reversed(tape._ops):
+    for i in range(len(ops) - 1, -1, -1):
+        slot, fn = ops[i]
+        ops[i] = (slot, None)
         g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)

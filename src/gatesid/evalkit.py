@@ -49,16 +49,17 @@ def gauc(scores, labels, user_ids):
     scores = np.asarray(scores)
     labels = np.asarray(labels)
     user_ids = np.asarray(user_ids)
+    # users in ascending id order, each user's rows in index order
+    order = np.argsort(user_ids, kind="stable")
+    uid = user_ids[order]
     num = 0.0
     den = 0.0
-    for u in np.unique(user_ids):
-        m = user_ids == u
-        a = auc(scores[m], labels[m])
+    for rows in np.split(order, np.flatnonzero(uid[1:] != uid[:-1]) + 1):
+        a = auc(scores[rows], labels[rows])
         if a is None:
             continue
-        w = int(m.sum())
-        num += w * a
-        den += w
+        num += rows.size * a
+        den += rows.size
     return num / den if den > 0 else None
 
 

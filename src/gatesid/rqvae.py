@@ -127,9 +127,16 @@ def kmeans_fit(vectors, k, iters=25, seed=0):
     which keeps the within-cluster squared error non-increasing.
     """
     x = np.asarray(vectors, dtype=np.float64)
-    distinct = np.unique(x, axis=0)
-    if distinct.shape[0] < k:
-        raise ValueError(f"kmeans_fit: need at least {k} distinct vectors, got {distinct.shape[0]}")
+    # distinct rows as np.unique(x, axis=0) counts them, by one sort of whole
+    # rows as bytes: + 0.0 makes -0.0 the bytes of +0.0, and a row with a NaN
+    # equals no row
+    nan = np.isnan(x).any(axis=1)
+    rows = x[~nan]
+    rows += 0.0
+    n_distinct = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size
+    n_distinct += int(nan.sum())
+    if n_distinct < k:
+        raise ValueError(f"kmeans_fit: need at least {k} distinct vectors, got {n_distinct}")
     rng = np.random.default_rng(seed)
     n, d = x.shape
     fin = np.finfo(x.dtype)

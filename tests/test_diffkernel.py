@@ -521,13 +521,58 @@ def test_tapes_do_not_nest():
                 pass
 
 
-def test_repeated_backward_accumulates_into_leaves():
-    x = dk.Tensor(np.asarray(2.0), requires_grad=True)
+def test_second_backward_on_a_consumed_tape_raises():
+    rng = np.random.default_rng(3)
+    x = dk.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = dk.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     with dk.Tape() as tape:
-        y = dk.square(x)
-        dk.backward(y, tape)
-        dk.backward(y, tape)
-    assert x.grad == pytest.approx(8.0)  # 2 passes of dy/dx = 4
+        loss = tsum(dk.square(dk.matmul(x, w)))
+        dk.backward(loss, tape)
+        grads = [x.grad, w.grad]
+        kept = [g.copy() for g in grads]
+        with pytest.raises(RuntimeError):
+            dk.backward(loss, tape)
+    assert x.grad is grads[0] and w.grad is grads[1]
+    assert all(same_bits(g, k) for g, k in zip(grads, kept))
+
+
+def test_backward_consumes_the_tape_in_place(monkeypatch):
+    # one (slot, None) entry per recorded op stays, in record order: a tracer
+    # counts the tape's ops after backward returns
+    rng = np.random.default_rng(4)
+    x = dk.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    w = dk.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    outputs = _record_outputs(monkeypatch)
+    with dk.Tape() as tape:
+        h = dk.relu(dk.add_bias(dk.matmul(dk.affine(x, 2.0), w), dk.constant(np.ones(2))))
+        loss = tsum(mul(h, dk.constant(rng.normal(size=(6, 2)))))
+        slots = [slot for slot, _ in tape._ops]
+        dk.backward(loss, tape)
+    assert len(tape._ops) == len(outputs) == 6
+    assert all(s is slot and fn is None for s, (slot, fn) in zip(slots, tape._ops))
+
+
+def test_matmul_backward_frees_its_input_before_the_input_gradient():
+    # h is held by matmul's closure alone; its bytes are gone before the
+    # (n, d) gradient of h is built, so h and that gradient never coexist
+    rng = np.random.default_rng(5)
+    n, d, k = 2048, 256, 4
+    parts = [dk.Tensor(rng.normal(size=(n, d // 2)), requires_grad=True) for _ in range(2)]
+    w = dk.Tensor(rng.normal(size=(d, k)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with dk.Tape() as tape:
+            h = dk.concat(parts)
+            loss = dk.tmean(dk.matmul(h, w))
+            del h
+            dk.backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad.shape == p.shape for p in parts + [w])
+    bound = 2 * n * d * 8 + d * k * 8  # input + input gradient + weight gradient
+    assert peak < bound, f"peak {peak} B, bound {bound} B"
 
 
 def test_tape_frees_op_outputs_that_no_backward_reads():
@@ -745,7 +790,8 @@ def ref_batch_step_memory():
     """One training step (loss, backward, AdamW step) of
     ``_ref_batch_step_case`` under tracemalloc. Returns the bytes live after
     the forward pass, the step's peak bytes (both above what was live before
-    it) and the step's tape. CI's size summary prints the two figures."""
+    it), the step's tape and the number of its closures that held a Tensor
+    before backward consumed them. CI's size summary prints the byte figures."""
     model, batch = _ref_batch_step_case()
     opt = dk.AdamW(model.trainable_params(), lr=5e-3, weight_decay=1e-5)
     tracemalloc.start()
@@ -754,28 +800,31 @@ def ref_batch_step_memory():
         with dk.Tape() as tape:
             loss, _ = model.loss(batch)
             forward_live = tracemalloc.get_traced_memory()[0] - base
+            holders = sum(bool(_closure_tensors(fn)) for _, fn in tape._ops)
             dk.backward(loss, tape)
         model.zero_pad_grads()
         opt.step()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return forward_live, peak, tape
+    return forward_live, peak, tape, holders
 
 
 def test_training_step_memory_bound():
     # Measured: live after the forward pass, 85.8 MiB when the tape held every
-    # op output and 49.9 MiB with slots only; the step's peak, 122.1 and 87.4
-    # MiB. The peak above the forward pass's live memory: 95 MiB when backward
-    # kept every intermediate gradient and AdamW built its temporaries, 36 MiB
-    # with gradients freed once consumed and the step in place.
-    forward_live, peak, tape = ref_batch_step_memory()
-    assert all(slot.grad is None for slot, _ in tape._ops)
-    assert not [fn for _, fn in tape._ops if _closure_tensors(fn)]
+    # op output and 49.9 MiB with slots only. The step's peak: 122.1, then
+    # 87.4 MiB, and 65.1 MiB with each closure dropped once it has run. The
+    # peak above the forward pass's live memory: 95 MiB when backward kept
+    # every intermediate gradient and AdamW built its temporaries, 37.5 MiB
+    # with gradients freed once consumed and the step in place, 15.2 MiB with
+    # each op's saved arrays freed once its gradient is done.
+    forward_live, peak, tape, holders = ref_batch_step_memory()
+    assert holders == 0
+    assert tape._ops and all(slot.grad is None and fn is None for slot, fn in tape._ops)
     mib = 2**20
     assert forward_live < 60 * mib, f"forward live {forward_live / mib:.1f} MiB"
-    assert peak < 100 * mib, f"step peak {peak / mib:.1f} MiB"
-    assert peak - forward_live < 60 * mib, f"{(peak - forward_live) / mib:.1f} MiB"
+    assert peak < 75 * mib, f"step peak {peak / mib:.1f} MiB"
+    assert peak - forward_live < 25 * mib, f"{(peak - forward_live) / mib:.1f} MiB"
 
 
 def test_adamw_missing_grad_raises():

@@ -92,6 +92,33 @@ def test_gauc_excludes_single_class_users():
     assert evalkit.gauc(np.array([0.5]), np.array([1]), np.array([0])) is None
 
 
+def gauc_mask_loop(scores, labels, user_ids):
+    """One boolean mask per user, in ascending user order."""
+    num = den = 0.0
+    for u in np.unique(user_ids):
+        m = user_ids == u
+        a = evalkit.auc(scores[m], labels[m])
+        if a is not None:
+            num += int(m.sum()) * a
+            den += int(m.sum())
+    return num / den if den > 0 else None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gauc_matches_mask_loop_exactly(seed):
+    # scores on a coarse grid tie often; with 3 rows a user on average, many
+    # users hold one row or one class and are left out
+    rng = np.random.default_rng(seed)
+    n = 400
+    scores = rng.integers(0, 8, size=n) / 8.0
+    labels = (rng.uniform(size=n) < 0.3).astype(int)
+    users = rng.choice(rng.permutation(1000)[:130], size=n)
+    got = evalkit.gauc(scores, labels, users)
+    assert got is not None and got == gauc_mask_loop(scores, labels, users)
+    one_class = np.zeros(n, dtype=int)
+    assert evalkit.gauc(scores, one_class, users) is None is gauc_mask_loop(scores, one_class, users)
+
+
 # ---------------------------------------------------------------------------
 # alignment
 

@@ -197,6 +197,35 @@ def test_kmeans_needs_enough_distinct_points():
         rqvae.kmeans_fit(pts, 3)
 
 
+def _distinct_rows_case(name):
+    rng = np.random.default_rng(7)
+    if name == "duplicated-rows":
+        base = rng.normal(size=(25, 5))
+        return base[rng.integers(25, size=200)]
+    if name == "signed-zeros":
+        # -0.0 == 0.0 for np.unique; the rows differ only in their zero signs
+        signs = rng.choice([-0.0, 0.0], size=(60, 4))
+        first_one = signs.copy()
+        first_one[:, 0] = 1.0
+        return np.vstack([signs, first_one, np.eye(4)])
+    if name == "nan-rows":
+        # a row with a NaN equals no row, itself included
+        x = rng.integers(0, 2, size=(50, 3)).astype(float)
+        x[::7, 1] = np.nan
+        return x
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", ["duplicated-rows", "signed-zeros", "nan-rows"])
+def test_kmeans_counts_distinct_rows_as_unique_rows_does(case):
+    x = _distinct_rows_case(case)
+    n = np.unique(x, axis=0).shape[0]
+    with pytest.raises(ValueError, match=f"need at least {n + 1} distinct vectors, got {n}$"):
+        rqvae.kmeans_fit(x, n + 1)
+    if not np.isnan(x).any():
+        assert rqvae.kmeans_fit(x, n, iters=2).shape == (n, x.shape[1])  # K = distinct count
+
+
 # ---------------------------------------------------------------------------
 # residual encode / decode
 
