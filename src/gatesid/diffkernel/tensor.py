@@ -210,37 +210,66 @@ def relu(x):
 # linear algebra
 
 
+def _accum_rows(slot, lo, g):
+    """``_accum`` of a gradient ``g`` of rows lo : lo + len(g) of the slot's
+    tensor; the other rows of a first gradient are zeros."""
+    if lo == 0 and g.shape == slot.shape:
+        _accum(slot, g)
+        return
+    if slot.grad is None:
+        slot.grad = np.zeros(slot.shape)
+    slot.grad[lo:lo + g.shape[0]] += g
+
+
+def linear(parts, w, b=None, first_row=0):
+    """concat(parts, axis=-1) @ w[first_row : first_row + width] (+ b), with
+    width the parts' total last-axis width. A single Tensor is one part; the
+    parts have ndim >= 2 and one leading shape, w is 2-D and b is optional.
+
+    One product per part, summed in part order, so the concatenation is never
+    built. Backward builds the weight gradient first, drops the parts' values
+    (often the largest arrays saved), then builds the input gradient of each
+    part that needs one. It writes only the window's rows of w's gradient.
+    """
+    parts = [parts] if isinstance(parts, Tensor) else list(parts)
+    offs = np.cumsum([first_row] + [p.shape[-1] for p in parts])
+    lead = parts[0].shape[:-1]
+    if (w.values.ndim != 2 or not lead or first_row < 0 or offs[-1] > w.shape[0]
+            or any(p.shape[:-1] != lead for p in parts)
+            or (b is not None and b.shape != w.shape[1:])):
+        raise ShapeError("linear", *[p.shape for p in parts], w.shape,
+                         None if b is None else b.shape)
+
+    wv = w.values
+    out = np.matmul(parts[0].values, wv[offs[0]:offs[1]])
+    for p, lo, hi in zip(parts[1:], offs[1:], offs[2:]):
+        out += np.matmul(p.values, wv[lo:hi])
+    if b is not None:
+        out += b.values
+    slots, saved = [p.slot for p in parts], [p.values for p in parts]
+    sw, sb = w.slot, None if b is None else b.slot
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if sb is not None:
+            _accum(sb, g2.sum(axis=0))
+        if sw.requires_grad:
+            for i, lo in enumerate(offs[:-1]):
+                _accum_rows(sw, lo, saved[i].reshape(-1, saved[i].shape[-1]).T @ g2)
+        saved.clear()
+        for s, lo, hi in zip(slots, offs, offs[1:]):
+            if s.requires_grad:
+                _accum(s, np.matmul(g, wv[lo:hi].T))
+
+    return _make(out, parts + [w] + ([] if b is None else [b]), bw)
+
+
 def matmul(a, b):
-    """a @ b where b is 2-D and a has ndim >= 2."""
+    """a @ b where b is 2-D and a has ndim >= 2: a one-part linear without
+    bias whose part spans all of b's rows."""
     if b.values.ndim != 2 or a.values.ndim < 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-
-    sa, sb, saved = a.slot, b.slot, [a.values, b.values]
-
-    def bw(g):
-        # the weight gradient first, so that a's values (often the largest
-        # array saved) can die before a's gradient is built
-        av, bv = saved
-        saved.clear()
-        _accum(sb, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        del av
-        _accum(sa, np.matmul(g, bv.T))
-
-    return _make(np.matmul(a.values, b.values), (a, b), bw)
-
-
-def add_bias(x, b):
-    """x + b broadcasting b over all leading axes of x."""
-    if b.values.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError("add_bias", x.shape, b.shape)
-
-    sx, sb = x.slot, b.slot
-
-    def bw(g):
-        _accum(sx, g)
-        _accum(sb, g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    return _make(x.values + b.values, (x, b), bw)
+    return linear(a, b)
 
 
 def concat(parts, axis=-1):
@@ -545,6 +574,3 @@ def backward(loss, tape):
         if g is not None:
             fn(g)
 
-
-def linear(x, w, b):
-    return add_bias(matmul(x, w), b)

@@ -201,7 +201,7 @@ class GateSidModel:
         elif v == "gate_stats_only":
             gin = dk.constant(stats_norm)
         else:
-            gin = dk.concat([e_item, dk.constant(stats_norm)], axis=-1)
+            gin = [e_item, dk.constant(stats_norm)]
         h = dk.relu(dk.linear(gin, self.params["gate.w1"], self.params["gate.b1"]))
         return dk.sigmoid(dk.linear(h, self.params["gate.w2"], self.params["gate.b2"]))
 
@@ -215,8 +215,11 @@ class GateSidModel:
 
     def _pool_history(self, hist_ids, e_item, e_sid, w):
         """Gated fused attention over the history; returns the pooled
-        (SID, item) vectors. Each distinct history id in the batch, pad
-        included, is embedded once; slots index those rows."""
+        (SID, item) vectors already through their rows of ``head.w1``. Each
+        distinct history id in the batch, pad included, is embedded and
+        projected once; slots index those rows. The head's first layer is
+        linear in the pooled vectors, so pooling the projected rows equals
+        projecting the pooled vectors, and one pool serves both sequences."""
         uniq, idx = np.unique(hist_ids, return_inverse=True)
         idx = idx.reshape(hist_ids.shape)
         h_item_rows = dk.gather_rows(self.params["item_emb"], uniq)
@@ -230,8 +233,8 @@ class GateSidModel:
             s_sid = self._attention(e_sid, h_sid_rows, idx, "attn.wq_sid", "attn.wk_sid", mask)
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
-        return (dk.attention_pool(s_fused, h_sid_rows, idx),
-                dk.attention_pool(s_fused, h_item_rows, idx))
+        rows = dk.linear([h_sid_rows, h_item_rows], self.params["head.w1"])
+        return dk.attention_pool(s_fused, rows, idx)
 
     # -- forward ---------------------------------------------------------------
 
@@ -249,11 +252,12 @@ class GateSidModel:
         e_sid = self.sid_embed(self.sid_table[target_ids])
         e_user = dk.gather_rows(self.params["user_emb"], user_ids)
         w = self.gate_weight(e_item, stats_norm)
-        h_sid, h_item = self._pool_history(hist_ids, e_item, e_sid, w)
+        pooled = self._pool_history(hist_ids, e_item, e_sid, w)
 
-        head_in = dk.concat([h_sid, h_item, e_sid, e_item,
-                             dk.constant(stats_norm), e_user], axis=-1)
-        z1 = dk.relu(dk.linear(head_in, self.params["head.w1"], self.params["head.b1"]))
+        # head.w1's rows: pooled (SID, item) vectors, then the inputs below
+        z1 = dk.relu(dk.add(pooled, dk.linear(
+            [e_sid, e_item, dk.constant(stats_norm), e_user], self.params["head.w1"],
+            self.params["head.b1"], first_row=2 * self.cfg.d_item)))
         z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
         logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
         ctr_logit = dk.take_column(logits, 0)

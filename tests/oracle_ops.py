@@ -1,11 +1,13 @@
 """Tape ops that only the tests use, built on diffkernel's recording
 helpers: the scalar sum and the elementwise product that test losses are
-made of, and the dense InfoNCE composition that ``diffkernel.info_nce``
-replaced, kept as its reference implementation. Like diffkernel's ops, each
-backward closure holds its inputs' slots and the arrays it reads, never a
-Tensor. The composition's three ops (cosine_matrix, softmax_diag, tlog)
-each hold an (N, N) array. Also the out-of-place AdamW update, the
-reference for ``AdamW.step``'s in-place one."""
+made of, the bias op that ``diffkernel.linear`` absorbed, kept as the
+reference of its one-part call, and the dense InfoNCE composition that
+``diffkernel.info_nce`` replaced, kept as its reference implementation.
+Like diffkernel's ops, each backward closure holds its inputs' slots and
+the arrays it reads, never a Tensor. The composition's three ops
+(cosine_matrix, softmax_diag, tlog) each hold an (N, N) array. Also the
+out-of-place AdamW update, the reference for ``AdamW.step``'s in-place
+one."""
 
 import numpy as np
 
@@ -33,6 +35,20 @@ def tsum(x):
         _accum(sx, np.full(sx.shape, float(g)))
 
     return _make(np.asarray(x.values.sum()), (x,), bw)
+
+
+def add_bias(x, b):
+    """x + b broadcasting b over all leading axes of x."""
+    if b.values.ndim != 1 or x.shape[-1] != b.shape[0]:
+        raise dk.ShapeError("add_bias", x.shape, b.shape)
+
+    sx, sb = x.slot, b.slot
+
+    def bw(g):
+        _accum(sx, g)
+        _accum(sb, g.reshape(-1, g.shape[-1]).sum(axis=0))
+
+    return _make(x.values + b.values, (x, b), bw)
 
 
 def cosine_matrix(a, b):

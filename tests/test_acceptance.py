@@ -109,8 +109,8 @@ def test_criterion_01_gradient_suite():
         "sigmoid": check("h", lambda x: tsum(dk.sigmoid(x)), [a]),
         "relu": check("i", lambda x: tsum(dk.relu(x)), [relu_in]),
         "matmul": check("j", lambda x, z: tsum(dk.matmul(x, z)), [a, m]),
-        "add_bias": check("k", lambda x, z: tsum(dk.add_bias(x, z)),
-                          [a, rng.normal(size=4)]),
+        "linear": check("k", lambda x, z, v, c: tsum(dk.square(dk.linear(
+            [x, z], v, c, first_row=1))), [a, b, rng.normal(size=(10, 3)), rng.normal(size=3)]),
         "concat": check("l", lambda x, z: tsum(dk.square(dk.concat([x, z]))),
                         [a, b]),
         "gather": check("m", lambda t: tsum(dk.square(

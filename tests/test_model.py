@@ -275,7 +275,9 @@ def slot_pool(s, h):
 
 class PerSlotModel(GateSidModel):
     """Oracle: every history slot gathers its own item and SID rows,
-    concatenates its SID rows and projects its own keys."""
+    concatenates its SID rows and projects its own keys; both sequences are
+    pooled, and then the pooled pair goes through head.w1's first 2 * d_item
+    rows."""
 
     def _pool_history(self, hist_ids, e_item, e_sid, w):
         h_item_seq = dk.gather_rows(self.params["item_emb"], hist_ids)
@@ -295,7 +297,8 @@ class PerSlotModel(GateSidModel):
             s_sid = attention(e_sid, h_sid_seq, "attn.wq_sid", "attn.wk_sid")
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
-        return slot_pool(s_fused, h_sid_seq), slot_pool(s_fused, h_item_seq)
+        pooled = dk.concat([slot_pool(s_fused, h_sid_seq), slot_pool(s_fused, h_item_seq)])
+        return dk.linear(pooled, self.params["head.w1"])
 
 
 def loss_and_grads(model, batch):
@@ -329,6 +332,18 @@ def test_dedup_history_matches_per_slot_oracle(variant):
     for k in model.trainable_params():
         assert want_grads[k] is not None, k
         np.testing.assert_allclose(grads[k], want_grads[k], rtol=0, atol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_pools_the_history_once(variant, monkeypatch):
+    # one pool of the distinct history rows projected through head.w1
+    calls, pool = [], dk.attention_pool
+    monkeypatch.setattr(dk, "attention_pool", lambda s, rows, idx: calls.append(rows.shape)
+                        or pool(s, rows, idx))
+    model = tiny_model(variant)
+    batch = tiny_batch(model)
+    model.forward(batch)
+    assert calls == [(np.unique(batch["hist_ids"]).size, model.cfg.head_hidden1)]
 
 
 # ---------------------------------------------------------------------------
