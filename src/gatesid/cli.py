@@ -56,32 +56,12 @@ def _load_corpus(rc):
     return synthcorpus.load_corpus(rc.corpus_dir, runcfg.corpus_config(rc))
 
 
-def _load_sid_table(rc, n_items):
-    _require(rc.sid_table_path)
-    item_ids, sids = rqvae.load_sid_table(rc.sid_table_path)
-    ids, counts = np.unique(item_ids, return_counts=True)
-    bad = {"out-of-range": ids[(ids < 1) | (ids > n_items)],
-           "duplicate": ids[counts > 1],
-           "missing": np.setdiff1d(np.arange(1, n_items + 1), ids)}
-    for what, found in bad.items():
-        if found.size:
-            raise ValueError(f"{rc.sid_table_path}: {what} item ids {found[:5].tolist()} "
-                             f"(the corpus has items 1..{n_items}, one row each)")
-    bad_code = ((sids < 0) | (sids >= rc.rq_codes)).any(axis=1)
-    if bad_code.any():
-        raise ValueError(f"{rc.sid_table_path}: SID codes outside [0, {rc.rq_codes}) at item ids "
-                         f"{np.sort(item_ids[bad_code])[:5].tolist()}")
-    table = np.zeros((n_items + 1, sids.shape[1]), dtype=np.int64)
-    table[item_ids] = sids
-    return table
-
-
 def _token_init(rc):
     if not rc.token_warm_start:
         return None
     _require(rc.codebook_path)
-    codebook, _, _ = rqvae.load_codebook(rc.codebook_path)
-    return token_init_from_codebook(codebook.codes, rc.d_token,
+    codebook, _ = rqvae.load_codebook(rc.codebook_path)
+    return token_init_from_codebook(codebook, rc.d_token,
                                     target_norm=rc.token_target_norm)
 
 
@@ -111,10 +91,7 @@ def cmd_train_rqvae(rc):
 def cmd_encode_sids(rc):
     corpus = _load_corpus(rc)
     _require(rc.codebook_path)
-    codebook, params, _ = rqvae.load_codebook(rc.codebook_path)
-    if params is None:
-        raise ValueError(f"codebook file {rc.codebook_path} lacks encoder weights; "
-                         "regenerate it with train-rqvae")
+    codebook, params = rqvae.load_codebook(rc.codebook_path)
     sids = rqvae.assign_sids(corpus.item_content, params, codebook)
     rqvae.save_sid_table(rc.sid_table_path, np.arange(1, corpus.n_items + 1), sids)
     return {"command": "encode-sids", "sid_table_path": rc.sid_table_path,
@@ -124,7 +101,8 @@ def cmd_encode_sids(rc):
 
 def cmd_train(rc):
     corpus = _load_corpus(rc)
-    sid_table = _load_sid_table(rc, corpus.n_items)
+    _require(rc.sid_table_path)
+    sid_table = rqvae.load_sid_table(rc.sid_table_path, corpus.n_items, rc.rq_codes)
     model, curve = trainmod.train_model(
         corpus, sid_table, variant=rc.variant, seed=rc.seed,
         model_overrides=runcfg.model_overrides(rc),
@@ -139,30 +117,26 @@ def cmd_eval(rc):
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     report = evalkit.evaluate_model(corpus, model, rc.test_frac)
-    report.save(rc.report_path)
+    dk.write_json(rc.report_path, report)
     return {"command": "eval", "report_path": rc.report_path,
-            "ctr_auc": report.metrics["ctr"]["all"]["auc"],
-            "ctcvr_gauc": report.metrics["ctcvr"]["all"]["gauc"],
-            "alignment": report.alignment["mean_paired_cosine"]}
+            "ctr_auc": report["metrics"]["ctr"]["all"]["auc"],
+            "ctcvr_gauc": report["metrics"]["ctcvr"]["all"]["gauc"],
+            "alignment": report["alignment"]["mean_paired_cosine"]}
 
 
 def cmd_ablate(rc):
     corpus = _load_corpus(rc)
-    sid_table = _load_sid_table(rc, corpus.n_items)
+    _require(rc.sid_table_path)
+    sid_table = rqvae.load_sid_table(rc.sid_table_path, corpus.n_items, rc.rq_codes)
     variants = [v.strip() for v in rc.ablate_variants.split(",") if v.strip()]
     seeds = [int(s) for s in rc.ablate_seeds.split(",") if s.strip()]
     cells, summary = evalkit.run_ablation(
         corpus, sid_table, variants, seeds,
         train_config=runcfg.train_config(rc),
         model_overrides=runcfg.model_overrides(rc), token_init=_token_init(rc))
-    payload = {"summary": summary, "cells": {}}
-    for (variant, seed), rep in cells.items():
-        key = f"{variant}:{seed}"
-        payload["cells"][key] = (json.loads(rep.to_json())
-                                 if isinstance(rep, evalkit.EvalReport) else rep)
-    dk.atomic_write_text(rc.ablation_json,
-                         json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    dk.atomic_write_text(rc.ablation_csv, evalkit.ablation_csv(summary))
+    dk.write_json(rc.ablation_json, {"summary": summary, "cells": {
+        f"{variant}:{seed}": rep for (variant, seed), rep in cells.items()}})
+    evalkit.write_ablation_csv(rc.ablation_csv, summary)
     return {"command": "ablate", "ablation_json": rc.ablation_json,
             "ablation_csv": rc.ablation_csv,
             "variants": variants, "seeds": seeds}
@@ -173,7 +147,7 @@ def cmd_gate_curve(rc):
     _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     curve = evalkit.gate_age_curve(corpus, model)
-    dk.atomic_write_text(rc.gate_curve_csv, evalkit.gate_curve_csv(curve))
+    evalkit.write_gate_curve_csv(rc.gate_curve_csv, curve)
     means = [r["mean_w"] for r in curve if r["mean_w"] is not None]
     return {"command": "gate-curve", "gate_curve_csv": rc.gate_curve_csv,
             "first_bin_w": means[0] if means else None,

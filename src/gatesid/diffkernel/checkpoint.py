@@ -1,7 +1,8 @@
 """Checkpoint file format: one JSON manifest line, then little-endian
 float64 blobs, one per named array, concatenated in manifest order. The
-atomic writers and the CSV writer that every text artifact goes through
-live here too."""
+text artifacts go through the writers here too: every CSV through
+``write_csv`` (and back through ``read_csv``), every JSON report through
+``write_json``, and both through the atomic writers."""
 
 import json
 import os
@@ -42,6 +43,37 @@ def write_csv(path, header, *columns):
                   else [",".join(map(str, row)) for row in col.tolist()] for col in block]
         lines += map(",".join, zip(*fields))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_csv(path, dtype=np.float64):
+    """Header fields and (n, k) rows of a numeric CSV. A line numpy cannot
+    parse is a ValueError that names the file and the line."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        try:
+            return header, np.loadtxt(f, delimiter=",", ndmin=2, dtype=dtype)
+        except ValueError as exc:
+            f.seek(0)  # name the first line that numpy rejects on its own
+            for k, line in enumerate(f.read().splitlines()[1:], start=2):
+                data = line.split("#")[0]  # loadtxt skips blank and comment lines
+                if not data:
+                    continue
+                # a line of another width parses alone; loadtxt objects only to the change
+                fields = data.count(",") + 1
+                if fields != len(header):
+                    raise ValueError(f"{path} line {k}: {fields} fields, "
+                                     f"the header has {len(header)}") from None
+                try:
+                    np.loadtxt([line], delimiter=",", ndmin=2, dtype=dtype)
+                except ValueError as line_exc:  # loadtxt's " at row 0, ..." counts this line alone
+                    raise ValueError(f"{path} line {k}: "
+                                     + str(line_exc).split(" at row ")[0]) from None
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path, obj):
+    """obj as indented JSON with sorted keys, one trailing newline."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def save_arrays(path, arrays, meta=None):

@@ -272,25 +272,20 @@ def matmul(a, b):
     return linear(a, b)
 
 
-def concat(parts, axis=-1):
+def concat(parts):
+    """Concatenation along the last axis; the leading shapes must agree."""
     parts = list(parts)
-    base = list(parts[0].shape)
-    ax = axis if axis >= 0 else len(base) + axis
-    for p in parts[1:]:
-        s = list(p.shape)
-        if len(s) != len(base) or any(s[i] != base[i] for i in range(len(s)) if i != ax):
-            raise ShapeError("concat", *[p.shape for p in parts])
-    sizes = [p.shape[ax] for p in parts]
+    lead = parts[0].shape[:-1]
+    if any(p.shape[:-1] != lead for p in parts):
+        raise ShapeError("concat", *[p.shape for p in parts])
+    offs = np.cumsum([0] + [p.shape[-1] for p in parts])
     slots = [p.slot for p in parts]
 
     def bw(g):
-        offs = np.cumsum([0] + sizes)
         for sp, lo, hi in zip(slots, offs[:-1], offs[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(lo, hi)
-            _accum(sp, g[tuple(sl)])
+            _accum(sp, g[..., lo:hi])
 
-    return _make(np.concatenate([p.values for p in parts], axis=ax), parts, bw)
+    return _make(np.concatenate([p.values for p in parts], axis=-1), parts, bw)
 
 
 def _check_rows(op, idx, n_rows):
@@ -298,7 +293,7 @@ def _check_rows(op, idx, n_rows):
         raise IndexError(f"{op}: index out of range for table with {n_rows} rows")
 
 
-def _scatter_rows(n_rows, idx, g):
+def scatter_rows(n_rows, idx, g):
     """Row-indexed sum: out[idx[i]] += g[i] for the rows i of g (idx.size, D).
 
     One bincount over idx * D + column; it adds in index order, as
@@ -318,7 +313,7 @@ def gather_rows(table, idx):
     st = table.slot
 
     def bw(g):
-        _accum(st, _scatter_rows(st.shape[0], idx, g))
+        _accum(st, scatter_rows(st.shape[0], idx, g))
 
     return _make(table.values[idx], (table,), bw)
 
@@ -388,11 +383,22 @@ def row_softmax(x, mask=None):
 _BLOCK = 64
 
 
-def _row_blocks(rows, idx):
-    """(batch-row slice, rows[idx[slice]]) for each block of _BLOCK batch rows."""
+def _indexed_dots(a, rows, idx):
+    """out[b, l] = rows[idx[b, l]] . a[b] for a (B,D), rows (U,D), idx (B,L)."""
+    out = np.empty(idx.shape + (1,))
     for lo in range(0, idx.shape[0], _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        yield blk, rows[idx[blk]]
+        np.matmul(rows[idx[blk]], a[blk, :, None], out=out[blk])
+    return out[:, :, 0]
+
+
+def _indexed_pool(s, rows, idx):
+    """out[b] = sum_l s[b, l] * rows[idx[b, l]] for s (B,L), rows (U,D), idx (B,L)."""
+    out = np.empty((idx.shape[0], 1, rows.shape[1]))
+    for lo in range(0, idx.shape[0], _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        np.matmul(s[blk, None, :], rows[idx[blk]], out=out[blk])
+    return out[:, 0]
 
 
 def _scatter_outer(n_rows, idx, w, v):
@@ -400,7 +406,7 @@ def _scatter_outer(n_rows, idx, w, v):
     for w (B,L) and v (B,D) -> (n_rows, D).
 
     One bincount per column j, over the (B,L) products w * v[:, j]: every
-    bin adds the same products in slot order as ``_scatter_rows`` on the
+    bin adds the same products in slot order as ``scatter_rows`` on the
     (B,L,D) products does, so the two agree bitwise. For a finite v, slots
     of weight ±0 (the pad slots) are left out: their products are ±0, and
     adding ±0 changes no bin sum, which starts at +0.0 and so is never -0.0.
@@ -429,16 +435,10 @@ def attention_scores(q, keys, idx):
     sq, sk, qv, kv = q.slot, keys.slot, q.values, keys.values
 
     def bw(g):
-        dq = np.empty((qv.shape[0], 1, qv.shape[1]))
-        for blk, k in _row_blocks(kv, idx):
-            np.matmul(g[blk, None, :], k, out=dq[blk])
-        _accum(sq, dq[:, 0])
+        _accum(sq, _indexed_pool(g, kv, idx))
         _accum(sk, _scatter_outer(kv.shape[0], idx, g, qv))
 
-    out = np.empty(idx.shape + (1,))
-    for blk, k in _row_blocks(keys.values, idx):
-        np.matmul(k, q.values[blk, :, None], out=out[blk])
-    return _make(out[:, :, 0], (q, keys), bw)
+    return _make(_indexed_dots(qv, kv, idx), (q, keys), bw)
 
 
 def attention_pool(s, rows, idx):
@@ -451,16 +451,10 @@ def attention_pool(s, rows, idx):
     ss, sr, sv, rv = s.slot, rows.slot, s.values, rows.values
 
     def bw(g):
-        ds = np.empty(idx.shape + (1,))
-        for blk, r in _row_blocks(rv, idx):
-            np.matmul(r, g[blk, :, None], out=ds[blk])
-        _accum(ss, ds[:, :, 0])
+        _accum(ss, _indexed_dots(g, rv, idx))
         _accum(sr, _scatter_outer(rv.shape[0], idx, sv, g))
 
-    out = np.empty((s.shape[0], 1, rows.shape[1]))
-    for blk, r in _row_blocks(rows.values, idx):
-        np.matmul(s.values[blk, None, :], r, out=out[blk])
-    return _make(out[:, 0], (s, rows), bw)
+    return _make(_indexed_pool(sv, rv, idx), (s, rows), bw)
 
 
 def scale_rows(s, w):

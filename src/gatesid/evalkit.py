@@ -1,14 +1,12 @@
 """Ranking metrics, maturity-bucketed reports, alignment diagnostics and the
 ablation harness."""
 
-import json
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import synthcorpus, train
-from .diffkernel import atomic_write_text
+from .diffkernel import write_csv
 
 log = logging.getLogger("gatesid.evalkit")
 
@@ -85,26 +83,11 @@ def alignment_score(e_sid, e_item):
 # reports
 
 
-@dataclass
-class EvalReport:
-    metrics: dict = field(default_factory=dict)   # task -> bucket -> {"auc":..,"gauc":..,"n":..}
-    gate: dict = field(default_factory=dict)      # bucket -> mean/deciles of w
-    alignment: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(
-            {"metrics": self.metrics, "gate": self.gate,
-             "alignment": self.alignment, "counts": self.counts},
-            sort_keys=True, indent=2)
-
-    def save(self, path):
-        atomic_write_text(path, self.to_json() + "\n")
-
-
 def evaluate_model(corpus, model, test_frac):
     """Bucketed AUC/GAUC on the ``train.time_split`` test split plus gate and
-    alignment diagnostics."""
+    alignment diagnostics, as a report dict: "metrics" (task -> bucket ->
+    auc, gauc, n), "gate" (bucket -> mean and deciles of w), "alignment"
+    and "counts"."""
     stats_raw = synthcorpus.impression_stat_features(corpus)
     _, idx = train.time_split(corpus, test_frac)
     batch = train.make_batch(corpus, stats_raw, idx)
@@ -117,11 +100,11 @@ def evaluate_model(corpus, model, test_frac):
     tasks = {"ctr": (preds["pctr"], batch["click"]),
              "ctcvr": (preds["pctcvr"], batch["click"] * batch["pay"])}
 
-    report = EvalReport()
+    report = {"metrics": {}, "gate": {}}
     for task, (scores, labels) in tasks.items():
-        report.metrics[task] = {}
+        report["metrics"][task] = {}
         for name, sel in buckets.items():
-            report.metrics[task][name] = {
+            report["metrics"][task][name] = {
                 "auc": auc(scores[sel], labels[sel]),
                 "gauc": gauc(scores[sel], labels[sel], batch["user_ids"][sel]),
                 "n": int(sel.size),
@@ -130,15 +113,15 @@ def evaluate_model(corpus, model, test_frac):
     for name, sel in buckets.items():
         if sel.size:
             w = preds["w"][sel]
-            report.gate[name] = {
+            report["gate"][name] = {
                 "mean": float(w.mean()),
                 "deciles": [float(v) for v in np.percentile(w, np.arange(10, 100, 10))],
             }
 
     e_sid, e_item = model.item_embeddings()
     score, used, skipped = alignment_score(e_sid, e_item)
-    report.alignment = {"mean_paired_cosine": score, "n_used": used, "n_skipped": skipped}
-    report.counts = {"n_eval": int(idx.size)}
+    report["alignment"] = {"mean_paired_cosine": score, "n_used": used, "n_skipped": skipped}
+    report["counts"] = {"n_eval": int(idx.size)}
     return report
 
 
@@ -148,7 +131,7 @@ def evaluate_model(corpus, model, test_frac):
 
 def run_ablation(corpus, sid_table, variants, seeds, train_config=None,
                  model_overrides=None, token_init=None):
-    """One EvalReport per (variant, seed) plus per-variant means.
+    """One report dict per (variant, seed) plus per-variant means.
 
     A failing cell is isolated (recorded as an error string), not fatal.
     """
@@ -180,8 +163,8 @@ def aggregate_ablation(cells, variants, seeds):
                 xs = []
                 for seed in seeds:
                     rep = cells.get((variant, seed))
-                    if isinstance(rep, EvalReport):
-                        v = rep.metrics[task]["all"][metric]
+                    if isinstance(rep, dict):
+                        v = rep["metrics"][task]["all"][metric]
                         if v is not None:
                             xs.append(v)
                 if xs:
@@ -190,13 +173,15 @@ def aggregate_ablation(cells, variants, seeds):
     return summary
 
 
-def ablation_csv(summary):
+def _cells(values):
+    """CSV fields of numbers that may be None: repr, or empty for None."""
+    return ["" if v is None else repr(v) for v in values]
+
+
+def write_ablation_csv(path, summary):
     cols = ["ctr_auc", "ctr_gauc", "ctcvr_auc", "ctcvr_gauc"]
-    lines = ["variant," + ",".join(cols)]
-    for variant, vals in summary.items():
-        lines.append(variant + "," + ",".join(
-            "" if vals.get(c) is None else repr(vals.get(c)) for c in cols))
-    return "\n".join(lines) + "\n"
+    write_csv(path, ["variant", *cols], list(summary),
+              *(_cells(vals.get(c) for vals in summary.values()) for c in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +208,6 @@ def gate_age_curve(corpus, model):
     return curve
 
 
-def gate_curve_csv(curve):
-    lines = ["age_lo,age_hi,n,mean_w"]
-    for row in curve:
-        mw = "" if row["mean_w"] is None else repr(row["mean_w"])
-        lines.append(f"{row['age_lo']},{row['age_hi']},{row['n']},{mw}")
-    return "\n".join(lines) + "\n"
+def write_gate_curve_csv(path, curve):
+    cols = ["age_lo", "age_hi", "n", "mean_w"]
+    write_csv(path, cols, *(_cells(row[c] for row in curve) for c in cols))

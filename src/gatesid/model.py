@@ -112,7 +112,9 @@ class GateSidModel:
             return dk.Tensor(np.zeros(n), requires_grad=True)
 
         item_emb = rng.normal(0.0, 0.05, size=(self.n_items + 1, cfg.d_item))
-        item_emb[0] = 0.0  # pad row frozen at zero
+        # pad row: only masked slots, of softmax weight 0, read it, and the
+        # attention kernels skip ±0 weights, so its gradient is always +0.0
+        item_emb[0] = 0.0
         p = {"item_emb": dk.Tensor(item_emb, requires_grad=True),
              "user_emb": dk.Tensor(rng.normal(0.0, 0.05, size=(self.n_users, cfg.d_user)),
                                    requires_grad=True)}
@@ -188,7 +190,7 @@ class GateSidModel:
         sids = np.asarray(sids)
         parts = [dk.gather_rows(self.params[f"sid_emb{k}"], sids[..., k])
                  for k in range(self.cfg.sid_levels)]
-        return dk.concat(parts, axis=-1)
+        return dk.concat(parts)
 
     def gate_weight(self, e_item, stats_norm):
         if not np.all(np.isfinite(stats_norm)):
@@ -240,7 +242,8 @@ class GateSidModel:
 
     def forward(self, batch):
         """batch: dict with target_ids (B,), hist_ids (B,L), user_ids (B,),
-        stats_raw (B,n_stat). Returns a dict of Tensors."""
+        stats_raw (B,n_stat). Returns a dict of Tensors: the two heads' logits,
+        the gate weight w and the target embeddings."""
         target_ids = np.asarray(batch["target_ids"])
         hist_ids = np.asarray(batch["hist_ids"])
         user_ids = np.asarray(batch["user_ids"])
@@ -260,14 +263,9 @@ class GateSidModel:
             self.params["head.b1"], first_row=2 * self.cfg.d_item)))
         z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
         logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
-        ctr_logit = dk.take_column(logits, 0)
-        ctcvr_logit = dk.take_column(logits, 1)
-
         return {
-            "pctr": dk.sigmoid(ctr_logit),
-            "pctcvr": dk.sigmoid(ctcvr_logit),
-            "ctr_logit": ctr_logit,
-            "ctcvr_logit": ctcvr_logit,
+            "ctr_logit": dk.take_column(logits, 0),
+            "ctcvr_logit": dk.take_column(logits, 1),
             "w": w,
             "e_sid": e_sid,
             "e_item": e_item,
@@ -313,12 +311,6 @@ class GateSidModel:
         parts["total"] = total
         return total, parts
 
-    def zero_pad_grads(self):
-        """Keep the pad embedding frozen: its row never receives updates."""
-        g = self.params["item_emb"].grad
-        if g is not None:
-            g[0] = 0.0
-
     # -- inference helpers ---------------------------------------------------------
 
     def predict(self, batch, batch_size=2048):
@@ -329,8 +321,8 @@ class GateSidModel:
             sub = {k: batch[k][lo:lo + batch_size] for k in
                    ("target_ids", "hist_ids", "user_ids", "stats_raw")}
             o = self.forward(sub)
-            outs["pctr"].append(o["pctr"].values)
-            outs["pctcvr"].append(o["pctcvr"].values)
+            outs["pctr"].append(dk.sigmoid(o["ctr_logit"]).values)
+            outs["pctcvr"].append(dk.sigmoid(o["ctcvr_logit"]).values)
             outs["w"].append(o["w"].values[:, 0])
         return {k: np.concatenate(v) for k, v in outs.items()}
 

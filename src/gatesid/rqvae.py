@@ -39,23 +39,6 @@ class RqVaeConfig:
     kmeans_iters: int = 25
 
 
-@dataclass
-class Codebook:
-    codes: np.ndarray  # (levels, codes_per_level, latent_dim)
-
-    @property
-    def levels(self):
-        return self.codes.shape[0]
-
-    @property
-    def codes_per_level(self):
-        return self.codes.shape[1]
-
-    @property
-    def latent_dim(self):
-        return self.codes.shape[2]
-
-
 # ---------------------------------------------------------------------------
 # nearest-code search and k-means
 
@@ -64,38 +47,41 @@ _ROW_CHUNK = 1024          # rows per GEMM block: extra memory is O(_ROW_CHUNK *
 _RERANK_ELEMS = 1 << 17    # float64s per exact re-rank block (1 MiB)
 
 
+def _gemm_slack(d, x_norm, c_norm):
+    """Rounding bound of the GEMM distance |x|^2 - 2 x.c + |c|^2 of d-dim
+    vectors of norms at most x_norm and c_norm: a code whose GEMM distance
+    exceeds another's by more than this is strictly farther under the exact
+    ``((x - c) ** 2).sum()`` too.
+
+    With u = eps/2 and S = x_norm + c_norm, the three dot products move the
+    GEMM distance by at most gamma_d*S^2 (gamma_d = d*u/(1 - d*u), in any
+    summation order, FMA included) and its two additions by u*S^2 each; the
+    exact formula rounds by at most (d + 2)*u*S^2 too. So each distance is
+    within E = (d + 2)*eps*S^2 of the exact one, and 2*(d + 4)*eps*S^2 keeps
+    4*eps*S^2 over 2E for the O(d^2 u^2) terms and the rounding of S (ample
+    for d far below 1/sqrt(u) ~ 1e8); ``tiny`` covers underflow.
+    """
+    fin = np.finfo(np.float64)
+    return 2 * (d + 4) * fin.eps * (x_norm + c_norm) ** 2 + fin.tiny
+
+
 def nearest_code(x, codes):
     """Nearest row of ``codes`` (K, d) for each row of ``x`` (N, d) by squared
     Euclidean distance ``((x - c) ** 2).sum(-1)``, ties going to the lowest
     index.
 
     A GEMM shortlist, ``|x|^2 - 2 x.c + |c|^2`` over blocks of rows, picks
-    the code; rows whose runner-up lies within the rounding error bound of
-    the minimum are re-ranked with the exact formula. The result equals the
-    argmin of the exact formula over all codes, bit for bit.
+    the code; rows whose runner-up lies within ``_gemm_slack`` of the
+    minimum are re-ranked with the exact formula. The result equals the
+    argmin of the exact formula over all codes, bit for bit. NaN and inf
+    distances fail the test and go to the exact path.
 
     Returns (indices (N,), squared distance to the chosen code (N,)).
     """
     n = x.shape[0]
     k, d = codes.shape
     cc = (codes * codes).sum(axis=1)
-    fin = np.finfo(cc.dtype)
-    # Rounding bound, with u = eps/2 and S = |x| + max|c| (>= |x| + |c| for
-    # every code). Each of the dot products |x|^2, x.c and |c|^2 is off by at
-    # most gamma_d = d*u/(1 - d*u) times |x|^2, |x||c| and |c|^2 in any
-    # summation order (FMA included), so together they move the GEMM distance
-    # by gamma_d*S^2; its two additions round at most u*S^2 each, giving
-    # (d + 2)*u*S^2. The exact formula rounds the difference, the square and
-    # d - 1 additions of non-negative terms: (d + 2)*u*D <= (d + 2)*u*S^2.
-    # So each GEMM distance is within E = (d + 2)*eps*S^2 of the exact value
-    # it stands for, and any code other than the GEMM minimum whose GEMM
-    # distance exceeds the minimum by more than 2E is strictly farther under
-    # the exact formula too. The threshold 2*(d + 4)*eps*S^2 keeps 4*eps*S^2
-    # of slack for the O(d^2 u^2) terms and the rounding of S itself (enough
-    # for d far below 1/sqrt(u) ~ 1e8); ``tiny`` covers underflow, where each
-    # of the O(d) operations adds at most half a subnormal spacing. NaN and
-    # inf distances fail the test and go to the exact path.
-    c_max = np.sqrt(cc.max())
+    c_max = np.sqrt(cc.max())  # the norm bound of every code
     step = max(1, _RERANK_ELEMS // (k * d))
     idx = np.empty(n, dtype=np.intp)
     for lo in range(0, n, _ROW_CHUNK):
@@ -110,8 +96,7 @@ def nearest_code(x, codes):
         first = dist[rows, best]
         dist[rows, best] = np.inf
         second = dist.min(axis=1)  # inf when K == 1
-        bound = 2 * (d + 4) * fin.eps * (np.sqrt(xx) + c_max) ** 2 + fin.tiny
-        ambiguous = np.flatnonzero(~(second - first > bound))
+        ambiguous = np.flatnonzero(~(second - first > _gemm_slack(d, np.sqrt(xx), c_max)))
         for a in range(0, ambiguous.size, step):
             sel = ambiguous[a:a + step]
             exact = ((xs[sel, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
@@ -139,13 +124,12 @@ def kmeans_fit(vectors, k, iters=25, seed=0):
         raise ValueError(f"kmeans_fit: need at least {k} distinct vectors, got {n_distinct}")
     rng = np.random.default_rng(seed)
     n, d = x.shape
-    fin = np.finfo(x.dtype)
 
     # k-means++ init. d2 is each point's exact squared distance
     # ((x - c) ** 2).sum() to its nearest centre so far. A new centre's GEMM
     # estimate settles every point that it leaves farther than d2 by more than
-    # the rounding bound of ``nearest_code``; only the rest take the exact
-    # formula, so d2 keeps the bits of the exact minimum over all centres.
+    # ``_gemm_slack``; only the rest take the exact formula, so d2 keeps the
+    # bits of the exact minimum over all centres.
     xx = (x * x).sum(axis=1)
     xn = np.sqrt(xx)
     centroids = np.empty((k, d))
@@ -159,7 +143,7 @@ def kmeans_fit(vectors, k, iters=25, seed=0):
         est *= -2.0
         est += xx
         est += cc
-        est -= 2 * (d + 4) * fin.eps * (xn + np.sqrt(cc)) ** 2 + fin.tiny
+        est -= _gemm_slack(d, xn, np.sqrt(cc))
         near = np.flatnonzero(~(est > d2))
         d2[near] = np.minimum(d2[near], ((x[near] - c) ** 2).sum(axis=1))
 
@@ -179,20 +163,20 @@ def kmeans_fit(vectors, k, iters=25, seed=0):
 
 
 def rq_encode_batch(z, codebook):
-    """Vectorized residual encode: z (N, d_z) -> (indices (N, L), residuals (N, L+1, d_z)).
+    """Vectorized residual encode with the (L, K, d_z) codebook: z (N, d_z)
+    -> (indices (N, L), residuals (N, L+1, d_z)).
 
     residuals[:, 0] is z itself; residuals[:, l] is what is left after
     subtracting the level-l code. Argmin ties break toward the lowest index.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
-    L = codebook.levels
+    L, _, dz = codebook.shape
     indices = np.empty((n, L), dtype=np.int64)
-    residuals = np.empty((n, L + 1, codebook.latent_dim))
+    residuals = np.empty((n, L + 1, dz))
     r = z.copy()
     residuals[:, 0] = r
-    for level in range(L):
-        codes = codebook.codes[level]
+    for level, codes in enumerate(codebook):
         idx, _ = nearest_code(r, codes)
         indices[:, level] = idx
         r = r - codes[idx]
@@ -215,20 +199,16 @@ def init_autoencoder(config, rng):
     }
 
 
-def encode(params, x):
-    h = dk.relu(dk.linear(x, params["enc.w1"], params["enc.b1"]))
-    return dk.linear(h, params["enc.w2"], params["enc.b2"])
-
-
-def decode(params, z):
-    h = dk.relu(dk.linear(z, params["dec.w1"], params["dec.b1"]))
-    return dk.linear(h, params["dec.w2"], params["dec.b2"])
+def mlp(params, name, x):
+    """The two-layer relu MLP ``name`` ("enc" or "dec") applied to x."""
+    h = dk.relu(dk.linear(x, params[name + ".w1"], params[name + ".b1"]))
+    return dk.linear(h, params[name + ".w2"], params[name + ".b2"])
 
 
 def encode_latents(params, contents, batch_size=1024):
     out = []
     for lo in range(0, contents.shape[0], batch_size):
-        out.append(encode(params, dk.constant(contents[lo:lo + batch_size])).values)
+        out.append(mlp(params, "enc", dk.constant(contents[lo:lo + batch_size])).values)
     return np.concatenate(out, axis=0)
 
 
@@ -263,11 +243,11 @@ def _init_codebook(latents, config, seed):
         picked = codes[level][idx]
         walk = walk - picked
         chosen = picked if chosen is None else chosen + picked
-    return Codebook(codes)
+    return codes
 
 
 def train_rqvae(content_vectors, config=None, seed=0):
-    """Returns (autoencoder params, codebook, per-epoch loss curve)."""
+    """Returns (autoencoder params, (L, K, d_z) codebook, per-epoch loss curve)."""
     config = config or RqVaeConfig()
     x = np.asarray(content_vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.content_dim:
@@ -283,7 +263,7 @@ def train_rqvae(content_vectors, config=None, seed=0):
     codebook = _init_codebook(encode_latents(params, x), config, seed)
     L, K = config.levels, config.codes_per_level
     ema_n = np.ones((L, K))
-    ema_m = codebook.codes.copy()
+    ema_m = codebook.copy()
 
     curve = []
     n = x.shape[0]
@@ -295,12 +275,12 @@ def train_rqvae(content_vectors, config=None, seed=0):
         for step, lo in enumerate(range(0, n, config.batch_size)):
             batch = x[order[lo:lo + config.batch_size]]
             with dk.Tape() as tape:
-                z = encode(params, dk.constant(batch))
+                z = mlp(params, "enc", dk.constant(batch))
                 idx, residuals = rq_encode_batch(z.values, codebook)
                 q = residuals[:, 0] - residuals[:, -1]  # sum of selected codes
                 # straight-through: decoder sees q, gradient flows to z
                 z_q = dk.add(z, dk.constant(q - z.values))
-                x_hat = decode(params, z_q)
+                x_hat = mlp(params, "dec", z_q)
                 recon = dk.tmean(dk.square(dk.sub(x_hat, dk.constant(batch))))
                 commit = dk.tmean(dk.square(dk.sub(z, dk.constant(q))))
                 loss = dk.add(recon, dk.affine(commit, config.beta))
@@ -315,13 +295,12 @@ def train_rqvae(content_vectors, config=None, seed=0):
             # EMA codebook update from assigned residual inputs
             for level in range(L):
                 counts = np.bincount(idx[:, level], minlength=K).astype(np.float64)
-                sums = np.zeros((K, config.latent_dim))
-                np.add.at(sums, idx[:, level], residuals[:, level])
+                sums = dk.scatter_rows(K, idx[:, level], residuals[:, level])
                 d = config.ema_decay
                 ema_n[level] = d * ema_n[level] + (1 - d) * counts
                 ema_m[level] = d * ema_m[level] + (1 - d) * sums
                 start = 0 if level == 0 else 1  # keep pinned zero code frozen
-                codebook.codes[level, start:] = (
+                codebook[level, start:] = (
                     ema_m[level, start:] / np.maximum(ema_n[level, start:], 1e-8)[:, None]
                 )
                 epoch_counts[level] += counts.astype(np.int64)
@@ -334,11 +313,11 @@ def train_rqvae(content_vectors, config=None, seed=0):
             for j in range(start, K):
                 if epoch_counts[level, j] == 0:
                     pick = reseed_rng.integers(last_residuals.shape[0])
-                    codebook.codes[level, j] = (
+                    codebook[level, j] = (
                         last_residuals[pick, level] + reseed_rng.normal(0, 1e-4, config.latent_dim)
                     )
                     ema_n[level, j] = 1.0
-                    ema_m[level, j] = codebook.codes[level, j]
+                    ema_m[level, j] = codebook[level, j]
         curve.append(epoch_loss / n)
 
     return params, codebook, curve
@@ -346,10 +325,7 @@ def train_rqvae(content_vectors, config=None, seed=0):
 
 def codebook_utilization(contents, params, codebook):
     idx, _ = rq_encode_batch(encode_latents(params, contents), codebook)
-    return np.array([
-        len(np.unique(idx[:, level])) / codebook.codes_per_level
-        for level in range(codebook.levels)
-    ])
+    return np.array([len(np.unique(col)) / codebook.shape[1] for col in idx.T])
 
 
 def assign_sids(content_vectors, params, codebook):
@@ -366,32 +342,44 @@ def assign_sids(content_vectors, params, codebook):
 # artifacts
 
 
-def save_codebook(path, codebook, config, seed, params=None):
-    """Quantizer codes plus (optionally) the trained autoencoder weights."""
-    meta = {
-        "levels": codebook.levels,
-        "codes_per_level": codebook.codes_per_level,
-        "latent_dim": codebook.latent_dim,
-        "beta": config.beta,
-        "seed": seed,
-    }
-    arrays = {"codes": codebook.codes}
-    for k, v in (params or {}).items():
-        arrays["ae." + k] = v.values if isinstance(v, dk.Tensor) else np.asarray(v)
-    dk.save_arrays(path, arrays, meta)
+def save_codebook(path, codebook, config, seed, params):
+    """The (L, K, d_z) quantizer codes plus the trained autoencoder weights."""
+    arrays = {"codes": codebook, **{"ae." + k: v.values for k, v in params.items()}}
+    dk.save_arrays(path, arrays, {"beta": config.beta, "seed": seed})
 
 
 def load_codebook(path):
-    """Returns (codebook, autoencoder params or None, meta)."""
-    arrays, meta = dk.load_arrays(path)
+    """Returns (codebook, autoencoder params) of a ``save_codebook`` file."""
+    arrays, _ = dk.load_arrays(path)
     params = {k[3:]: dk.Tensor(v) for k, v in arrays.items() if k.startswith("ae.")}
-    return Codebook(arrays["codes"]), (params or None), meta
+    if not params:
+        raise ValueError(f"codebook file {path} lacks encoder weights; "
+                         "regenerate it with train-rqvae")
+    return arrays["codes"], params
 
 
 def save_sid_table(path, item_ids, sids):
     dk.write_csv(path, ["item_id", *(f"s{k+1}" for k in range(sids.shape[1]))], item_ids, sids)
 
 
-def load_sid_table(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-    return data[:, 0], data[:, 1:]
+def load_sid_table(path, n_items, n_codes):
+    """The (n_items + 1, L) SID table of a ``save_sid_table`` file, row i
+    for item i and row 0, the pad id, zeros. The file must hold items
+    1..n_items, one line each, with codes in [0, n_codes)."""
+    _, data = dk.read_csv(path, np.int64)
+    item_ids, sids = data[:, 0], data[:, 1:]
+    ids, counts = np.unique(item_ids, return_counts=True)
+    bad = {"out-of-range": ids[(ids < 1) | (ids > n_items)],
+           "duplicate": ids[counts > 1],
+           "missing": np.setdiff1d(np.arange(1, n_items + 1), ids)}
+    for what, found in bad.items():
+        if found.size:
+            raise ValueError(f"{path}: {what} item ids {found[:5].tolist()} "
+                             f"(the corpus has items 1..{n_items}, one row each)")
+    bad_code = ((sids < 0) | (sids >= n_codes)).any(axis=1)
+    if bad_code.any():
+        raise ValueError(f"{path}: SID codes outside [0, {n_codes}) at item ids "
+                         f"{np.sort(item_ids[bad_code])[:5].tolist()}")
+    table = np.zeros((n_items + 1, sids.shape[1]), dtype=np.int64)
+    table[item_ids] = sids
+    return table

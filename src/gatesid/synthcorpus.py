@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .diffkernel import CSV_BLOCK, write_csv
+from .diffkernel import CSV_BLOCK, read_csv, write_csv
 
 
 @dataclasses.dataclass
@@ -343,27 +343,7 @@ def _check(path, bad, values, problem):
 def _read_numeric(path, first_id):
     """Header and float rows of a numeric CSV whose first column holds the
     ids first_id, first_id + 1, ... in row order."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        try:
-            rows = np.loadtxt(f, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            f.seek(0)  # name the first line that numpy rejects on its own
-            for k, line in enumerate(f.read().splitlines()[1:], start=2):
-                data = line.split("#")[0]  # loadtxt skips blank and comment lines
-                if not data:
-                    continue
-                # a line of another width parses alone; loadtxt objects only to the change
-                fields = data.count(",") + 1
-                if fields != len(header):
-                    raise ValueError(f"{path} line {k}: {fields} fields, "
-                                     f"the header has {len(header)}") from None
-                try:
-                    np.loadtxt([line], delimiter=",", ndmin=2)
-                except ValueError as line_exc:  # loadtxt's " at row 0, ..." counts this line alone
-                    raise ValueError(f"{path} line {k}: "
-                                     + str(line_exc).split(" at row ")[0]) from None
-            raise ValueError(f"{path}: {exc}") from None
+    header, rows = read_csv(path)
     last = first_id + rows.shape[0] - 1
     _check(path, rows[:, 0] != np.arange(first_id, last + 1), rows[:, 0],
            f"id {{:g}} is out of order (ids run {first_id}..{last} in row order)")

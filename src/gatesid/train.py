@@ -79,7 +79,6 @@ def train_model(corpus, sid_table, variant="full", seed=0,
                 # in again (about 1,200 more page faults per desk-sized step)
                 opt.zero_grad()
                 dk.backward(loss, tape)
-            model.zero_pad_grads()
             opt.step()
             total += value * len(batch["target_ids"])
         curve.append(total / order.size)

@@ -30,7 +30,7 @@ def small_rq(small_corpus):
 
 @pytest.fixture(scope="session")
 def small_sid_table(small_corpus, small_rq):
-    table = np.zeros((small_corpus.n_items + 1, small_rq["codebook"].levels),
+    table = np.zeros((small_corpus.n_items + 1, len(small_rq["codebook"])),
                      dtype=np.int64)
     table[1:] = small_rq["sids"]
     return table

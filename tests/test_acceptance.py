@@ -41,9 +41,9 @@ def artifacts(golden_corpus):
     params, codebook, _ = rqvae.train_rqvae(
         golden_corpus.item_content, config.rqvae_config(rc), seed=GOLDEN_SEED)
     sids = rqvae.assign_sids(golden_corpus.item_content, params, codebook)
-    table = np.zeros((golden_corpus.n_items + 1, codebook.levels), dtype=np.int64)
+    table = np.zeros((golden_corpus.n_items + 1, len(codebook)), dtype=np.int64)
     table[1:] = sids
-    token_init = token_init_from_codebook(codebook.codes, rc.d_token,
+    token_init = token_init_from_codebook(codebook, rc.d_token,
                                           target_norm=rc.token_target_norm)
     return {"params": params, "codebook": codebook, "sid_table": table,
             "token_init": token_init,
@@ -69,7 +69,7 @@ def trained(golden_corpus, artifacts):
 
 
 def mean_metric(cells, variant, task, metric):
-    vals = [cells[(variant, s)]["report"].metrics[task]["all"][metric] for s in SEEDS]
+    vals = [cells[(variant, s)]["report"]["metrics"][task]["all"][metric] for s in SEEDS]
     return float(np.mean(vals))
 
 
@@ -200,18 +200,18 @@ def test_criterion_03_rq_oracle(artifacts):
     t0 = time.time()
     cb = artifacts["codebook"]
     rng = np.random.default_rng(303)
-    z = rng.normal(0.0, 0.5, size=(1000, cb.latent_dim))
+    z = rng.normal(0.0, 0.5, size=(1000, cb.shape[2]))
 
     idx, res = rqvae.rq_encode_batch(z, cb)
     r = z.copy()
     argmin_exact = True
-    for level in range(cb.levels):
-        d = ((r[:, None, :] - cb.codes[level][None]) ** 2).sum(axis=2)
+    for level in range(len(cb)):
+        d = ((r[:, None, :] - cb[level][None]) ** 2).sum(axis=2)
         best = d.argmin(axis=1)
         argmin_exact &= np.array_equal(best, idx[:, level])
-        r = r - cb.codes[level][best]
+        r = r - cb[level][best]
 
-    decoded = cb.codes[np.arange(cb.levels)[None, :], idx].sum(axis=1)
+    decoded = cb[np.arange(len(cb))[None, :], idx].sum(axis=1)
     telescope_err = np.abs(decoded + res[:, -1] - z).max()
 
     norms = np.linalg.norm(res, axis=2)
@@ -324,7 +324,7 @@ def test_criterion_07_gate_beats_average(trained):
 
 def test_criterion_08_gate_age_trend(golden_corpus, trained):
     rep = trained[("full", GOLDEN_SEED)]["report"]
-    gap = rep.gate["new"]["mean"] - rep.gate["popular"]["mean"]
+    gap = rep["gate"]["new"]["mean"] - rep["gate"]["popular"]["mean"]
     model = trained[("full", GOLDEN_SEED)]["model"]
     curve = evalkit.gate_age_curve(golden_corpus, model)
     means = [r["mean_w"] for r in curve if r["mean_w"] is not None]
@@ -337,8 +337,8 @@ def test_criterion_08_gate_age_trend(golden_corpus, trained):
 
 
 def test_criterion_09_alignment_effect(trained):
-    with_cl = trained[("full", GOLDEN_SEED)]["report"].alignment["mean_paired_cosine"]
-    without = trained[("no_grca", GOLDEN_SEED)]["report"].alignment["mean_paired_cosine"]
+    with_cl = trained[("full", GOLDEN_SEED)]["report"]["alignment"]["mean_paired_cosine"]
+    without = trained[("no_grca", GOLDEN_SEED)]["report"]["alignment"]["mean_paired_cosine"]
     ok = with_cl - without >= 0.05
     report_line(9, ok, f"alignment with contrastive term {with_cl:.3f} vs "
                        f"without {without:.3f}, gap {with_cl - without:.3f} (>=0.05)")
@@ -380,14 +380,16 @@ def _run_pipeline(root):
     paths = {k: str(root / v) for k, v in
              [("corpus_dir", "corpus"), ("codebook_path", "codebook.rqv"),
               ("sid_table_path", "sids.csv"), ("model_path", "model.ckpt"),
-              ("report_path", "report.json")]}
+              ("report_path", "report.json"), ("gate_curve_csv", "gate_curve.csv"),
+              ("emb_sid_csv", "emb_sid.csv"), ("emb_item_csv", "emb_item.csv")]}
     cfgfile.write_text(PIPELINE_CFG
                        + "".join(f"{k}={v}\n" for k, v in paths.items()))
-    for cmd in ("gen-data", "train-rqvae", "encode-sids", "train", "eval"):
+    for cmd in ("gen-data", "train-rqvae", "encode-sids", "train", "eval", "gate-curve",
+                "export-emb"):
         code = cli.main([cmd, "--config", str(cfgfile), "--seed", "13"])
         assert code == 0, cmd
     digests = {}
-    for name in ("codebook_path", "sid_table_path", "model_path", "report_path"):
+    for name in sorted(paths.keys() - {"corpus_dir"}):
         with open(paths[name], "rb") as f:
             digests[name] = hashlib.sha256(f.read()).hexdigest()
     return digests
@@ -400,4 +402,5 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     ok = first == second
     report_line(10, ok, f"bitwise-identical artifacts across reruns: "
                         f"{len(same)}/{len(first)} "
-                        f"(codebook, SID table, checkpoint, report)")
+                        f"(codebook, SID table, checkpoint, report, gate curve, "
+                        f"embeddings)")

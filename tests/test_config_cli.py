@@ -265,8 +265,8 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert header == "item_id," + ",".join(f"v{i+1}" for i in range(24))
     assert row[0] == "1" and len(row) == 25
 
-    ids, sids = rqvae.load_sid_table(str(tmp_path / "sids.csv"))
-    assert ids.shape == (150,) and sids.shape == (150, 3)
+    table = rqvae.load_sid_table(str(tmp_path / "sids.csv"), 150, 8)
+    assert table.shape == (151, 3)
 
     # rerunning the model-training stage reproduces the checkpoint bitwise
     h1 = file_hash(str(tmp_path / "model.ckpt"))
@@ -295,32 +295,40 @@ def test_encode_sids_requires_encoder_weights(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
     assert code == 0
     # a codebook without the autoencoder weights cannot assign SIDs
-    rcfg = rqvae.RqVaeConfig(latent_dim=8, levels=3, codes_per_level=8)
-    cb = rqvae.Codebook(np.zeros((3, 8, 8)))
-    rqvae.save_codebook(str(tmp_path / "codebook.rqv"), cb, rcfg, seed=0)
+    dk.save_arrays(str(tmp_path / "codebook.rqv"), {"codes": np.zeros((3, 8, 8))},
+                   {"beta": 0.25, "seed": 0})
     code, _, err = run_cli(capsys, "encode-sids", "--config", cfg)
     assert code == 1
     assert "lacks encoder weights" in err
 
 
-@pytest.mark.parametrize("item_ids, bad_codes, message", [
+@pytest.mark.parametrize("item_ids, bad_codes, bad_line, message", [
     # last 10 rows dropped
-    (np.r_[1:141], [], "missing item ids [141, 142, 143, 144, 145]"),
-    (np.r_[1:151, 7, 9], [], "duplicate item ids [7, 9]"),
-    (np.r_[1:152], [], "out-of-range item ids [151]"),
+    (np.r_[1:141], [], None, "missing item ids [141, 142, 143, 144, 145]"),
+    (np.r_[1:151, 7, 9], [], None, "duplicate item ids [7, 9]"),
+    (np.r_[1:152], [], None, "out-of-range item ids [151]"),
     # (item id, level, code) at rq_codes=8; seven bad items, the first five named
     (np.r_[1:151], [(90, 0, 99), (12, 2, 8), (40, 1, -1), (5, 0, 8), (77, 1, 9),
-                    (120, 2, 50), (150, 0, 8)],
+                    (120, 2, 50), (150, 0, 8)], None,
      "SID codes outside [0, 8) at item ids [5, 12, 40, 77, 90]"),
-], ids=["missing", "duplicate", "out-of-range", "bad-code"])
-def test_train_rejects_bad_sid_table(tmp_path, capsys, item_ids, bad_codes, message):
+    # (file line, its new text): the error names the file line, not a data row
+    (np.r_[1:151], [], (4, "3,abc,0,0"),
+     "sids.csv line 4: could not convert string 'abc' to int64"),
+    (np.r_[1:151], [], (4, "3,0,0,0,0"), "sids.csv line 4: 5 fields, the header has 4"),
+], ids=["missing", "duplicate", "out-of-range", "bad-code", "non-integer", "extra-field"])
+def test_train_rejects_bad_sid_table(tmp_path, capsys, item_ids, bad_codes, bad_line, message):
     cfg = write_tiny_config(tmp_path)
     code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
     assert code == 0
     sids = np.zeros((item_ids.size, 3), dtype=np.int64)
     for item, level, value in bad_codes:
         sids[item - 1, level] = value  # row i holds item i + 1 in this case
-    rqvae.save_sid_table(str(tmp_path / "sids.csv"), item_ids, sids)
+    path = tmp_path / "sids.csv"
+    rqvae.save_sid_table(str(path), item_ids, sids)
+    if bad_line is not None:
+        lines = path.read_text().splitlines()
+        lines[bad_line[0] - 1] = bad_line[1]
+        path.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, "train", "--config", cfg)
     assert code == 1
     assert "sids.csv" in err and message in err

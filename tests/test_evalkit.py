@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from gatesid import diffkernel as dk
 from gatesid import evalkit, train
 from gatesid.model import GateSidModel, ModelConfig
 
@@ -157,24 +158,21 @@ def test_alignment_shape_mismatch():
 
 
 def test_eval_report_roundtrip(tmp_path):
-    rep = evalkit.EvalReport(
-        metrics={"ctr": {"all": {"auc": 0.7, "gauc": 0.68, "n": 10}}},
-        gate={"all": {"mean": 0.5, "deciles": [0.1] * 9}},
-        alignment={"mean_paired_cosine": 0.3, "n_used": 10, "n_skipped": 0},
-        counts={"n_eval": 10})
+    rep = {"metrics": {"ctr": {"all": {"auc": 0.7, "gauc": None, "n": 10}}},
+           "gate": {"all": {"mean": 0.5, "deciles": [0.1] * 9}},
+           "alignment": {"mean_paired_cosine": 0.3, "n_used": 10, "n_skipped": 0},
+           "counts": {"n_eval": 10}}
     path = str(tmp_path / "report.json")
-    rep.save(path)
+    dk.write_json(path, rep)
     with open(path) as f:
         text = f.read()
-    assert text == rep.to_json() + "\n"
-    assert json.loads(text) == {"metrics": rep.metrics, "gate": rep.gate,
-                                "alignment": rep.alignment, "counts": rep.counts}
+    assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+    assert json.loads(text) == rep
 
 
 def _fake_report(auc_val):
-    m = {t: {"all": {"auc": auc_val, "gauc": auc_val, "n": 4}}
-         for t in ("ctr", "ctcvr")}
-    return evalkit.EvalReport(metrics=m)
+    return {"metrics": {t: {"all": {"auc": auc_val, "gauc": auc_val, "n": 4}}
+                        for t in ("ctr", "ctcvr")}}
 
 
 def test_aggregate_ablation_means_and_error_cells():
@@ -185,15 +183,18 @@ def test_aggregate_ablation_means_and_error_cells():
     assert summary["no_gfsa"]["ctr_auc"] == pytest.approx(0.6)
 
 
-def test_ablation_csv_layout():
+def test_ablation_csv_layout(tmp_path):
     summary = {"full": {"ctr_auc": 0.75, "ctr_gauc": 0.74, "ctcvr_auc": 0.6,
-                        "ctcvr_gauc": 0.59},
+                        "ctcvr_gauc": 0.1 + 0.2},
+               "no_grca": {"ctr_auc": 0.7, "ctcvr_gauc": 0.5},
                "broken": {}}
-    text = evalkit.ablation_csv(summary)
-    lines = text.strip().split("\n")
-    assert lines[0] == "variant,ctr_auc,ctr_gauc,ctcvr_auc,ctcvr_gauc"
-    assert lines[1].startswith("full,0.75,")
-    assert lines[2] == "broken,,,,"
+    path = tmp_path / "ablation.csv"
+    evalkit.write_ablation_csv(str(path), summary)
+    # floats as repr prints them; a missing mean is an empty cell
+    assert path.read_bytes() == (b"variant,ctr_auc,ctr_gauc,ctcvr_auc,ctcvr_gauc\n"
+                                 b"full,0.75,0.74,0.6,0.30000000000000004\n"
+                                 b"no_grca,0.7,,,0.5\n"
+                                 b"broken,,,,\n")
 
 
 def test_run_ablation_degenerate_matrix(small_corpus, small_sid_table):
@@ -204,7 +205,7 @@ def test_run_ablation_degenerate_matrix(small_corpus, small_sid_table):
                                           ["full"], [0], train_config=tc,
                                           model_overrides=overrides)
     assert set(cells) == {("full", 0)}
-    assert isinstance(cells[("full", 0)], evalkit.EvalReport)
+    assert set(cells[("full", 0)]) == {"metrics", "gate", "alignment", "counts"}
     assert 0.0 < summary["full"]["ctr_auc"] < 1.0
 
 
@@ -234,11 +235,11 @@ def test_evaluate_model_buckets(small_corpus, small_sid_table):
     model.fit_stat_norm(synthcorpus.impression_stat_features(small_corpus))
     _, test_idx = train.time_split(small_corpus, 0.2)
     rep = evalkit.evaluate_model(small_corpus, model, 0.2)
-    assert set(rep.metrics) == {"ctr", "ctcvr"}
-    assert set(rep.metrics["ctr"]) == {"all", "new", "popular"}
-    assert rep.metrics["ctr"]["all"]["n"] == test_idx.size
-    assert rep.counts["n_eval"] == test_idx.size
-    assert len(rep.gate["all"]["deciles"]) == 9
+    assert set(rep["metrics"]) == {"ctr", "ctcvr"}
+    assert set(rep["metrics"]["ctr"]) == {"all", "new", "popular"}
+    assert rep["metrics"]["ctr"]["all"]["n"] == test_idx.size
+    assert rep["counts"]["n_eval"] == test_idx.size
+    assert len(rep["gate"]["all"]["deciles"]) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +283,9 @@ def test_gate_curve_bins_partition_when_thresholds_move(small_corpus, small_sid_
     assert sum(r["n"] for r in curve) == corpus.n_items  # no item counted twice
 
 
-def test_gate_curve_csv_layout():
+def test_gate_curve_csv_layout(tmp_path):
     curve = [{"age_lo": 0, "age_hi": 20, "n": 3, "mean_w": 0.625},
              {"age_lo": 20, "age_hi": 60, "n": 0, "mean_w": None}]
-    text = evalkit.gate_curve_csv(curve)
-    assert text == "age_lo,age_hi,n,mean_w\n0,20,3,0.625\n20,60,0,\n"
+    path = tmp_path / "gate_curve.csv"
+    evalkit.write_gate_curve_csv(str(path), curve)
+    assert path.read_bytes() == b"age_lo,age_hi,n,mean_w\n0,20,3,0.625\n20,60,0,\n"

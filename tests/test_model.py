@@ -196,10 +196,11 @@ def test_forward_shapes_and_determinism():
     batch = tiny_batch(model)
     o1 = model.forward(batch)
     o2 = model.forward(batch)
-    assert o1["pctr"].shape == (4,)
+    assert o1["ctr_logit"].shape == (4,)
     assert o1["w"].shape == (4, 1)
-    assert np.array_equal(o1["pctr"].values, o2["pctr"].values)
-    assert np.all((o1["pctr"].values > 0) & (o1["pctr"].values < 1))
+    assert np.array_equal(o1["ctr_logit"].values, o2["ctr_logit"].values)
+    pctr = model.predict(batch)["pctr"]
+    assert np.all((pctr > 0) & (pctr < 1))
 
 
 def test_forward_empty_history_pools_zero():
@@ -207,13 +208,13 @@ def test_forward_empty_history_pools_zero():
     batch = tiny_batch(model)
     batch["hist_ids"] = np.zeros_like(batch["hist_ids"])
     out = model.forward(batch)
-    assert np.all(np.isfinite(out["pctr"].values))
+    assert np.all(np.isfinite(out["ctr_logit"].values))
     # an all-pad history pools to a zero vector, so predictions cannot
     # depend on the pad row embedding at all
     model.params["item_emb"].values[0] = 7.0
     out2 = model.forward(batch)
     model.params["item_emb"].values[0] = 0.0
-    assert np.array_equal(out["pctr"].values, out2["pctr"].values)
+    assert np.array_equal(out["ctr_logit"].values, out2["ctr_logit"].values)
 
 
 def test_forward_rejects_unknown_target():
@@ -235,14 +236,23 @@ def test_forward_gradients_reach_every_parameter():
         assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
 
-def test_zero_pad_grads_freezes_pad_row():
-    model = tiny_model()
-    batch = tiny_batch(model)
-    with dk.Tape() as tape:
-        loss, _ = model.loss(batch)
-        dk.backward(loss, tape)
-    model.zero_pad_grads()
-    assert np.all(model.params["item_emb"].grad[0] == 0.0)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pad_row_stays_zero_through_training(variant):
+    # only masked history slots read item_emb's pad row, so its gradient is
+    # exactly +0.0 and AdamW (weight decay included) leaves the row at +0.0
+    model = tiny_model(variant)
+    opt = dk.AdamW(model.trainable_params(), lr=5e-3, weight_decay=1e-5)
+    for seed in range(3):
+        batch = tiny_batch(model, seed=seed)
+        if seed == 2:
+            batch["hist_ids"][:] = 0  # every history all pad
+        with dk.Tape() as tape:
+            loss, _ = model.loss(batch)
+            opt.zero_grad()
+            dk.backward(loss, tape)
+        assert model.params["item_emb"].grad[0].view(np.int64).tolist() == [0] * 12
+        opt.step()
+    assert model.params["item_emb"].values[0].view(np.int64).tolist() == [0] * 12
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +337,7 @@ def test_dedup_history_matches_per_slot_oracle(variant):
     }
     out, grads = loss_and_grads(model, batch)
     want_out, want_grads = loss_and_grads(oracle, batch)
-    for k in ("pctr", "pctcvr", "w", "e_sid", "e_item"):
+    for k in ("ctr_logit", "ctcvr_logit", "w", "e_sid", "e_item"):
         np.testing.assert_allclose(out[k].values, want_out[k].values, rtol=0, atol=1e-12)
     for k in model.trainable_params():
         assert want_grads[k] is not None, k
@@ -364,8 +374,7 @@ def test_no_gfsa_uses_item_attention_only():
     # force the gate of the full model to 0: fused attention becomes the
     # item-stream attention, which is what no_gfsa always uses
     m_full.params["gate.b2"].values[...] = -60.0
-    assert np.allclose(m_full.forward(batch)["pctr"].values,
-                       m_no.forward(batch)["pctr"].values, atol=1e-12)
+    assert np.allclose(m_full.predict(batch)["pctr"], m_no.predict(batch)["pctr"], atol=1e-12)
 
 
 def test_trainable_params_per_variant():
@@ -541,6 +550,20 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     p2 = loaded.predict(batch)
     assert np.array_equal(p1["pctr"], p2["pctr"])
     assert np.array_equal(p1["w"], p2["w"])
+
+
+def test_predict_is_sigmoid_of_forward_logits():
+    model = tiny_model()
+    batch = tiny_batch(model)
+    model.params["head.b3"].values[:] = [3.0, -3.0]  # logits of both signs
+    out = model.forward(batch)
+    preds = model.predict(batch, batch_size=3)  # two chunks
+    for key in ("ctr", "ctcvr"):
+        z = out[key + "_logit"].values
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(preds["p" + key].view(np.int64), want.view(np.int64)), key
+    assert np.array_equal(preds["w"], out["w"].values[:, 0])
 
 
 @pytest.mark.parametrize("edit, key", [

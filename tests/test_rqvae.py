@@ -69,13 +69,13 @@ def test_nearest_code_matches_broadcast_oracle(case):
     assert np.array_equal(dist.view(np.int64), want_dist.view(np.int64))  # bitwise
 
     # residual encode through two levels against the level-by-level oracle
-    cb = rqvae.Codebook(np.stack([codes, codes[::-1]]))
+    cb = np.stack([codes, codes[::-1]])
     enc_idx, res = rqvae.rq_encode_batch(x, cb)
     r = x.copy()
-    for level in range(cb.levels):
-        best, _ = broadcast_nearest(r, cb.codes[level])
+    for level in range(len(cb)):
+        best, _ = broadcast_nearest(r, cb[level])
         assert np.array_equal(enc_idx[:, level], best)
-        r = r - cb.codes[level][best]
+        r = r - cb[level][best]
         assert np.array_equal(res[:, level + 1].view(np.int64), r.view(np.int64))
 
 
@@ -234,12 +234,12 @@ def _random_codebook(seed=0, levels=3, k=6, dz=4):
     rng = np.random.default_rng(seed)
     codes = rng.normal(size=(levels, k, dz))
     codes[1:, 0] = 0.0  # pinned zero code at levels 2+
-    return rqvae.Codebook(codes)
+    return codes
 
 
 def test_encode_exact_code_hits_zero_residual():
     cb = _random_codebook()
-    idx, res = rqvae.rq_encode_batch(cb.codes[0, 3][None, :], cb)
+    idx, res = rqvae.rq_encode_batch(cb[0, 3][None, :], cb)
     idx, res = idx[0], res[0]
     assert idx[0] == 3
     assert np.all(idx[1:] == 0)  # later levels pick the pinned zero code
@@ -249,13 +249,13 @@ def test_encode_exact_code_hits_zero_residual():
 def test_encode_matches_brute_force_scan():
     cb = _random_codebook(seed=5)
     rng = np.random.default_rng(11)
-    z = rng.normal(size=(200, cb.latent_dim))
+    z = rng.normal(size=(200, cb.shape[2]))
     idx, res = rqvae.rq_encode_batch(z, cb)
     r = z.copy()
-    for level in range(cb.levels):
-        best, _ = broadcast_nearest(r, cb.codes[level])
+    for level in range(len(cb)):
+        best, _ = broadcast_nearest(r, cb[level])
         assert np.array_equal(idx[:, level], best)
-        r = r - cb.codes[level][best]
+        r = r - cb[level][best]
     assert np.abs(res[:, -1] - r).max() == 0.0
 
 
@@ -264,8 +264,7 @@ def test_encode_tie_breaks_to_lowest_index():
     codes[0, 0] = [1.0, 0.0]
     codes[0, 1] = [-1.0, 0.0]
     codes[0, 2] = [0.0, 1.0]
-    cb = rqvae.Codebook(codes)
-    idx, _ = rqvae.rq_encode_batch(np.zeros((1, 2)), cb)  # equidistant from all three
+    idx, _ = rqvae.rq_encode_batch(np.zeros((1, 2)), codes)  # equidistant from all three
     assert idx[0, 0] == 0
     near, dist = rqvae.nearest_code(np.zeros((1, 2)), codes[0])
     assert near[0] == 0 and dist[0] == 1.0
@@ -274,17 +273,17 @@ def test_encode_tie_breaks_to_lowest_index():
 def test_decode_zero_codes_equals_level_one():
     # the decoded sum is residuals[0] - residuals[-1], as train_rqvae uses it
     cb = _random_codebook()
-    idx, res = rqvae.rq_encode_batch(cb.codes[0, 2][None, :], cb)
+    idx, res = rqvae.rq_encode_batch(cb[0, 2][None, :], cb)
     assert idx[0].tolist() == [2, 0, 0]
-    assert np.array_equal(res[0, 0] - res[0, -1], cb.codes[0, 2])
+    assert np.array_equal(res[0, 0] - res[0, -1], cb[0, 2])
 
 
 def test_decode_plus_residual_recovers_input():
     cb = _random_codebook(seed=9)
-    z = np.random.default_rng(13).normal(size=(20, cb.latent_dim))
+    z = np.random.default_rng(13).normal(size=(20, cb.shape[2]))
     idx, res = rqvae.rq_encode_batch(z, cb)
     decoded = res[:, 0] - res[:, -1]
-    picked = cb.codes[np.arange(cb.levels)[None, :], idx].sum(axis=1)
+    picked = cb[np.arange(len(cb))[None, :], idx].sum(axis=1)
     assert decoded == pytest.approx(picked, abs=1e-12)
     assert decoded + res[:, -1] == pytest.approx(z, abs=1e-12)
 
@@ -310,7 +309,7 @@ def test_train_rqvae_loss_decreases(small_rq):
 def test_train_rqvae_deterministic(small_corpus, small_rq):
     params2, cb2, curve2 = rqvae.train_rqvae(
         small_corpus.item_content, small_rq["config"], seed=3)
-    assert np.array_equal(cb2.codes, small_rq["codebook"].codes)
+    assert np.array_equal(cb2, small_rq["codebook"])
     assert curve2 == small_rq["curve"]
     for k, p in small_rq["params"].items():
         assert np.array_equal(p.values, params2[k].values)
@@ -330,15 +329,15 @@ def test_train_rqvae_rejects_non_finite_content():
 
 
 def test_train_rqvae_divergence_names_epoch_and_step(monkeypatch):
-    real_decode = rqvae.decode
+    real_mlp = rqvae.mlp
     calls = []
 
-    def decode(params, z):
-        out = real_decode(params, z)
-        calls.append(1)
-        return dk.affine(out, np.nan) if len(calls) == 3 else out
+    def mlp(params, name, x):
+        out = real_mlp(params, name, x)
+        calls.append(name)
+        return dk.affine(out, np.nan) if name == "dec" and calls.count("dec") == 3 else out
 
-    monkeypatch.setattr(rqvae, "decode", decode)
+    monkeypatch.setattr(rqvae, "mlp", mlp)
     x = np.random.default_rng(2).normal(size=(200, 8))
     cfg = rqvae.RqVaeConfig(content_dim=8, latent_dim=4, levels=2, codes_per_level=4,
                             hidden_dim=8, epochs=2, batch_size=64, kmeans_iters=2)
@@ -359,7 +358,7 @@ def test_small_sample_falls_back_with_warning():
 def test_codebook_utilization_range(small_corpus, small_rq):
     util = rqvae.codebook_utilization(small_corpus.item_content,
                                       small_rq["params"], small_rq["codebook"])
-    assert util.shape == (small_rq["codebook"].levels,)
+    assert util.shape == (len(small_rq["codebook"]),)
     assert np.all(util > 0.0) and np.all(util <= 1.0)
 
 
@@ -369,7 +368,7 @@ def test_codebook_utilization_range(small_corpus, small_rq):
 
 def test_assign_sids_row_count_and_determinism(small_corpus, small_rq):
     sids = small_rq["sids"]
-    assert sids.shape == (small_corpus.n_items, small_rq["codebook"].levels)
+    assert sids.shape == (small_corpus.n_items, len(small_rq["codebook"]))
     again = rqvae.assign_sids(small_corpus.item_content,
                               small_rq["params"], small_rq["codebook"])
     assert np.array_equal(sids, again)
@@ -401,10 +400,10 @@ def test_codebook_roundtrip_with_params(tmp_path, small_rq):
     path = str(tmp_path / "cb.rqv")
     rqvae.save_codebook(path, small_rq["codebook"], small_rq["config"], seed=3,
                         params=small_rq["params"])
-    cb2, params2, meta = rqvae.load_codebook(path)
-    assert np.array_equal(cb2.codes, small_rq["codebook"].codes)
-    assert meta["levels"] == small_rq["codebook"].levels
-    assert meta["seed"] == 3
+    cb2, params2 = rqvae.load_codebook(path)
+    assert np.array_equal(cb2, small_rq["codebook"])
+    # the manifest records the codes' shape; the meta holds only what it lacks
+    assert dk.load_arrays(path)[1] == {"beta": small_rq["config"].beta, "seed": 3}
     for k, p in small_rq["params"].items():
         assert np.array_equal(params2[k].values, p.values)
     # the reloaded encoder reproduces the same assignments
@@ -416,18 +415,18 @@ def test_codebook_roundtrip_with_params(tmp_path, small_rq):
         rqvae.assign_sids(x, params2, cb2))
 
 
-def test_codebook_roundtrip_without_params(tmp_path, small_rq):
+def test_load_codebook_requires_encoder_weights(tmp_path, small_rq):
     path = str(tmp_path / "cb.rqv")
-    rqvae.save_codebook(path, small_rq["codebook"], small_rq["config"], seed=3)
-    cb2, params2, _ = rqvae.load_codebook(path)
-    assert params2 is None
-    assert np.array_equal(cb2.codes, small_rq["codebook"].codes)
+    dk.save_arrays(path, {"codes": small_rq["codebook"]}, {"beta": 0.25, "seed": 3})
+    with pytest.raises(ValueError, match="cb.rqv lacks encoder weights"):
+        rqvae.load_codebook(path)
 
 
 def test_sid_table_roundtrip(tmp_path, small_rq):
     path = str(tmp_path / "sids.csv")
     ids = np.arange(1, small_rq["sids"].shape[0] + 1)
     rqvae.save_sid_table(path, ids, small_rq["sids"])
-    ids2, sids2 = rqvae.load_sid_table(path)
-    assert np.array_equal(ids, ids2)
-    assert np.array_equal(small_rq["sids"], sids2)
+    table = rqvae.load_sid_table(path, ids.size, small_rq["config"].codes_per_level)
+    assert table.dtype == np.int64 and table.shape == (ids.size + 1, 3)
+    assert np.array_equal(table[1:], small_rq["sids"])
+    assert not table[0].any()  # the pad id
