@@ -27,12 +27,6 @@ from .model import GateSidModel, ModelConfig, token_init_from_codebook
 log = logging.getLogger("gatesid.cli")
 
 
-class MissingArtifactError(FileNotFoundError):
-    def __init__(self, path):
-        super().__init__(f"missing prerequisite artifact: {path}")
-        self.path = path
-
-
 def _setup_logging():
     name = os.environ.get("GATESID_LOG", "quiet").strip().lower()
     level = {"quiet": logging.WARNING, "info": logging.INFO,
@@ -41,25 +35,17 @@ def _setup_logging():
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _require(path):
-    if not os.path.exists(path):
-        raise MissingArtifactError(path)
-
-
 # ---------------------------------------------------------------------------
 # shared loading helpers
 
 
 def _load_corpus(rc):
-    for name in ("items.csv", "users.csv", "impressions.csv"):
-        _require(os.path.join(rc.corpus_dir, name))
     return synthcorpus.load_corpus(rc.corpus_dir, runcfg.corpus_config(rc))
 
 
 def _token_init(rc):
     if not rc.token_warm_start:
         return None
-    _require(rc.codebook_path)
     codebook, _ = rqvae.load_codebook(rc.codebook_path)
     return token_init_from_codebook(codebook, rc.d_token,
                                     target_norm=rc.token_target_norm)
@@ -90,7 +76,6 @@ def cmd_train_rqvae(rc):
 
 def cmd_encode_sids(rc):
     corpus = _load_corpus(rc)
-    _require(rc.codebook_path)
     codebook, params = rqvae.load_codebook(rc.codebook_path)
     sids = rqvae.assign_sids(corpus.item_content, params, codebook)
     rqvae.save_sid_table(rc.sid_table_path, np.arange(1, corpus.n_items + 1), sids)
@@ -101,11 +86,9 @@ def cmd_encode_sids(rc):
 
 def cmd_train(rc):
     corpus = _load_corpus(rc)
-    _require(rc.sid_table_path)
-    sid_table = rqvae.load_sid_table(rc.sid_table_path, corpus.n_items, rc.rq_codes)
+    sid_table = rqvae.load_sid_table(rc.sid_table_path, corpus.n_items, rc.rq_codes, rc.rq_levels)
     model, curve = trainmod.train_model(
-        corpus, sid_table, variant=rc.variant, seed=rc.seed,
-        model_overrides=runcfg.model_overrides(rc),
+        corpus, sid_table, runcfg.model_config(rc), seed=rc.seed,
         train_config=runcfg.train_config(rc), token_init=_token_init(rc))
     model.save(rc.model_path, extra_meta={"loss_curve": curve, "seed": rc.seed})
     return {"command": "train", "model_path": rc.model_path,
@@ -114,7 +97,6 @@ def cmd_train(rc):
 
 def cmd_eval(rc):
     corpus = _load_corpus(rc)
-    _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     report = evalkit.evaluate_model(corpus, model, rc.test_frac)
     dk.write_json(rc.report_path, report)
@@ -126,14 +108,11 @@ def cmd_eval(rc):
 
 def cmd_ablate(rc):
     corpus = _load_corpus(rc)
-    _require(rc.sid_table_path)
-    sid_table = rqvae.load_sid_table(rc.sid_table_path, corpus.n_items, rc.rq_codes)
-    variants = [v.strip() for v in rc.ablate_variants.split(",") if v.strip()]
-    seeds = [int(s) for s in rc.ablate_seeds.split(",") if s.strip()]
+    sid_table = rqvae.load_sid_table(rc.sid_table_path, corpus.n_items, rc.rq_codes, rc.rq_levels)
+    variants, seeds = runcfg.ablation_grid(rc)
     cells, summary = evalkit.run_ablation(
-        corpus, sid_table, variants, seeds,
-        train_config=runcfg.train_config(rc),
-        model_overrides=runcfg.model_overrides(rc), token_init=_token_init(rc))
+        corpus, sid_table, variants, seeds, runcfg.model_config(rc),
+        train_config=runcfg.train_config(rc), token_init=_token_init(rc))
     dk.write_json(rc.ablation_json, {"summary": summary, "cells": {
         f"{variant}:{seed}": rep for (variant, seed), rep in cells.items()}})
     evalkit.write_ablation_csv(rc.ablation_csv, summary)
@@ -144,7 +123,6 @@ def cmd_ablate(rc):
 
 def cmd_gate_curve(rc):
     corpus = _load_corpus(rc)
-    _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     curve = evalkit.gate_age_curve(corpus, model)
     evalkit.write_gate_curve_csv(rc.gate_curve_csv, curve)
@@ -155,7 +133,6 @@ def cmd_gate_curve(rc):
 
 
 def cmd_export_emb(rc):
-    _require(rc.model_path)
     model = GateSidModel.load(rc.model_path)
     e_sid, e_item = model.item_embeddings()
     ids = np.arange(1, e_sid.shape[0] + 1)
@@ -241,8 +218,8 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         summary = COMMANDS[args.command](rc)
-    except MissingArtifactError as exc:
-        print(str(exc), file=sys.stderr)
+    except FileNotFoundError as exc:  # every loader opens its file before any work or write
+        print(f"missing prerequisite artifact: {exc.filename}", file=sys.stderr)
         return 2
     except Exception as exc:
         log.debug("command failed", exc_info=True)

@@ -4,10 +4,8 @@ One RunConfig carries all hyperparameters plus artifact paths, so a single
 key=value file (or --set overrides) reproduces any run. Every field of the
 module configs (CorpusConfig, RqVaeConfig, ModelConfig, TrainConfig) is a
 key of the same name, type and default, except where ``_WIRING`` renames it
-(the quantizer's ``rq_`` keys) or, for the model's variant, passes it on its
-own.
-Desk-scale defaults are active; the reference-scale values are noted next
-to the module fields they replace.
+(the quantizer's ``rq_`` keys). Desk-scale defaults are active; the
+reference-scale values are noted next to the module fields they replace.
 """
 
 import dataclasses
@@ -24,24 +22,21 @@ class ConfigError(ValueError):
 
 
 # Fields of the per-module configs that do not read the RunConfig key of the
-# same name: the key they read instead, or None for the model's variant, which
-# the run config passes on its own. The quantizer's epochs, batch_size and lr
-# must not take the ranking model's training values.
+# same name, and the key they read instead. The quantizer's epochs, batch_size
+# and lr must not take the ranking model's training values.
 _WIRING = {
     RqVaeConfig: {"latent_dim": "rq_latent_dim", "levels": "rq_levels",
                   "codes_per_level": "rq_codes", "hidden_dim": "rq_hidden",
                   "beta": "rq_beta", "epochs": "rq_epochs", "batch_size": "rq_batch",
                   "lr": "rq_lr", "ema_decay": "rq_ema_decay",
                   "kmeans_iters": "rq_kmeans_iters"},
-    ModelConfig: {"sid_levels": "rq_levels", "sid_codes": "rq_codes", "variant": None},
+    ModelConfig: {"sid_levels": "rq_levels", "sid_codes": "rq_codes"},
 }
 
 
 def _wired_fields(cls):
-    """(field, RunConfig key) for each field of module config ``cls`` that a key sets."""
-    wiring = _WIRING.get(cls, {})
-    pairs = [(f, wiring.get(f.name, f.name)) for f in dataclasses.fields(cls)]
-    return [(f, key) for f, key in pairs if key is not None]
+    """(field, RunConfig key) for each field of module config ``cls``."""
+    return [(f, _WIRING.get(cls, {}).get(f.name, f.name)) for f in dataclasses.fields(cls)]
 
 
 def _module_keys():
@@ -72,7 +67,6 @@ class RunConfig(dataclasses.make_dataclass("ModuleKeys", _module_keys())):
     emb_item_csv: str = "artifacts/emb_item.csv"
 
     # ranking model
-    variant: str = "full"
     token_warm_start: bool = True
     token_target_norm: float = 4.0
 
@@ -136,8 +130,7 @@ def build_config(config_path=None, overrides=None):
         key, val = _parse_pair(item, "--set")
         values[key] = val
     cfg = RunConfig(**values)
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant '{cfg.variant}'; expected one of {VARIANTS}")
+    ablation_grid(cfg)  # checks variant too
     return cfg
 
 
@@ -158,10 +151,24 @@ def rqvae_config(rc):
     return RqVaeConfig(**_view(RqVaeConfig, rc))
 
 
-def model_overrides(rc):
-    """ModelConfig keyword arguments; the variant is passed on its own."""
-    return _view(ModelConfig, rc)
+def model_config(rc):
+    return ModelConfig(**_view(ModelConfig, rc))
 
 
 def train_config(rc):
     return TrainConfig(**_view(TrainConfig, rc))
+
+
+def ablation_grid(rc):
+    """The ablation's variants and seeds, from the comma lists ablate_variants
+    and ablate_seeds. An unknown variant, there or in ``variant``, or a seed
+    that is not an integer is a ConfigError naming the key and the entry."""
+    variants = [v.strip() for v in rc.ablate_variants.split(",") if v.strip()]
+    for key, v in [("variant", rc.variant)] + [("ablate_variants", v) for v in variants]:
+        if v not in VARIANTS:
+            raise ConfigError(f"config key '{key}': unknown variant '{v}'; "
+                              f"expected one of {VARIANTS}")
+    try:
+        return variants, [int(s) for s in rc.ablate_seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"config key 'ablate_seeds': {exc}") from None

@@ -7,6 +7,7 @@ text artifacts go through the writers here too: every CSV through
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -46,12 +47,16 @@ def write_csv(path, header, *columns):
 
 
 def read_csv(path, dtype=np.float64):
-    """Header fields and (n, k) rows of a numeric CSV. A line numpy cannot
-    parse is a ValueError that names the file and the line."""
+    """Header fields and (n, k) rows of a numeric CSV. No data lines, or a line
+    numpy cannot parse, is a ValueError that names the file (and the line)."""
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
         try:
-            return header, np.loadtxt(f, delimiter=",", ndmin=2, dtype=dtype)
+            with warnings.catch_warnings():  # refused, not just warned about
+                warnings.filterwarnings("error", "loadtxt: input contained no data")
+                return header, np.loadtxt(f, delimiter=",", ndmin=2, dtype=dtype)
+        except UserWarning:
+            raise ValueError(f"{path}: no data lines") from None
         except ValueError as exc:
             f.seek(0)  # name the first line that numpy rejects on its own
             for k, line in enumerate(f.read().splitlines()[1:], start=2):

@@ -222,9 +222,9 @@ def _accum_rows(slot, lo, g):
 
 
 def linear(parts, w, b=None, first_row=0):
-    """concat(parts, axis=-1) @ w[first_row : first_row + width] (+ b), with
-    width the parts' total last-axis width. A single Tensor is one part; the
-    parts have ndim >= 2 and one leading shape, w is 2-D and b is optional.
+    """(parts joined on the last axis) @ w[first_row : first_row + width] (+ b),
+    width being the parts' total last-axis width. A single Tensor is one part;
+    the parts have ndim >= 2 and one leading shape, w is 2-D, b is optional.
 
     One product per part, summed in part order, so the concatenation is never
     built. Backward builds the weight gradient first, drops the parts' values
@@ -272,20 +272,14 @@ def matmul(a, b):
     return linear(a, b)
 
 
-def concat(parts):
-    """Concatenation along the last axis; the leading shapes must agree."""
-    parts = list(parts)
-    lead = parts[0].shape[:-1]
-    if any(p.shape[:-1] != lead for p in parts):
-        raise ShapeError("concat", *[p.shape for p in parts])
-    offs = np.cumsum([0] + [p.shape[-1] for p in parts])
-    slots = [p.slot for p in parts]
+def reshape(x, shape):
+    """x viewed as ``shape``; the gradient is viewed back as x's shape."""
+    sx = x.slot
 
     def bw(g):
-        for sp, lo, hi in zip(slots, offs[:-1], offs[1:]):
-            _accum(sp, g[..., lo:hi])
+        _accum(sx, g.reshape(sx.shape))
 
-    return _make(np.concatenate([p.values for p in parts], axis=-1), parts, bw)
+    return _make(x.values.reshape(shape), (x,), bw)
 
 
 def _check_rows(op, idx, n_rows):

@@ -1,6 +1,7 @@
 """Ranking metrics, maturity-bucketed reports, alignment diagnostics and the
 ablation harness."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -129,9 +130,10 @@ def evaluate_model(corpus, model, test_frac):
 # ablation harness
 
 
-def run_ablation(corpus, sid_table, variants, seeds, train_config=None,
-                 model_overrides=None, token_init=None):
-    """One report dict per (variant, seed) plus per-variant means.
+def run_ablation(corpus, sid_table, variants, seeds, model_config, train_config=None,
+                 token_init=None):
+    """One report dict per (variant, seed), ``model_config`` with the variant
+    replaced, plus per-variant means.
 
     A failing cell is isolated (recorded as an error string), not fatal.
     """
@@ -142,9 +144,8 @@ def run_ablation(corpus, sid_table, variants, seeds, train_config=None,
             key = (variant, seed)
             try:
                 model, _ = train.train_model(
-                    corpus, sid_table, variant=variant, seed=seed,
-                    model_overrides=model_overrides, train_config=train_config,
-                    token_init=token_init)
+                    corpus, sid_table, dataclasses.replace(model_config, variant=variant),
+                    seed=seed, train_config=train_config, token_init=token_init)
                 cells[key] = evaluate_model(corpus, model, test_frac)
             except Exception as exc:  # isolate the failure to this cell
                 log.exception("ablation cell %s failed", key)

@@ -23,25 +23,21 @@ VARIANTS = ("full", "no_grca", "no_gfsa", "gate_item_only", "gate_stats_only", "
 
 
 def token_init_from_codebook(level_codes, d_token, target_norm=4.0):
-    """Warm-start per-level token embeddings from quantizer code vectors.
+    """Warm-start the SID token table from quantizer code vectors.
 
-    Each level's codes (K, d_z) are zero-padded or truncated to d_token and
-    the whole stack is rescaled so the mean concatenated row norm equals
-    target_norm. Keeps the code geometry (similar content -> similar tokens)
+    The (L, K, d_z) codes are zero-padded or truncated to d_token, and the
+    whole table is rescaled so the mean concatenated row norm equals
+    target_norm. Returns the (L * K, d_token) table, row k * K + c for code c
+    at level k. Keeps the code geometry (similar content -> similar tokens)
     while giving attention scores a usable scale from the first step.
     """
-    out = []
-    for codes in level_codes:
-        codes = np.asarray(codes, dtype=np.float64)
-        k, dz = codes.shape
-        t = np.zeros((k, d_token))
-        t[:, :min(dz, d_token)] = codes[:, :d_token]
-        out.append(t)
-    concat_norm = np.sqrt(sum((t ** 2).sum(axis=1).mean() for t in out))
+    codes = np.asarray(level_codes, dtype=np.float64)
+    t = np.zeros(codes.shape[:2] + (d_token,))
+    t[..., :codes.shape[2]] = codes[..., :d_token]
+    concat_norm = np.sqrt((t ** 2).sum(axis=2).mean(axis=1).sum())
     if concat_norm <= 0:
         raise ValueError("token_init_from_codebook: all-zero codebooks")
-    scale = target_norm / concat_norm
-    return [t * scale for t in out]
+    return (t * (target_norm / concat_norm)).reshape(-1, d_token)
 
 
 @dataclass
@@ -56,14 +52,12 @@ class ModelConfig:
     head_hidden1: int = 128
     head_hidden2: int = 64
     tau: float = 0.1            # contrastive temperature
-    lam: float = 0.1            # balancing coefficient on the alignment loss; 0 for no_grca
+    lam: float = 0.1            # balancing coefficient on the alignment loss; no_grca has none
     variant: str = "full"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant '{self.variant}'; expected one of {VARIANTS}")
-        if self.variant == "no_grca":
-            self.lam = 0.0
 
     @property
     def d_item(self):
@@ -94,14 +88,10 @@ class GateSidModel:
         self.stat_std = np.ones(self.cfg.n_stat)
         self._init_params(np.random.default_rng([seed, 0x6A7E]))
         if token_init is not None:
-            if len(token_init) != self.cfg.sid_levels:
-                raise ValueError("token_init must provide one array per SID level")
-            for k, t in enumerate(token_init):
-                t = np.asarray(t, dtype=np.float64)
-                want = (self.cfg.sid_codes, self.cfg.d_token)
-                if t.shape != want:
-                    raise ValueError(f"token_init[{k}] shape {t.shape}, expected {want}")
-                self.params[f"sid_emb{k}"].values[...] = t
+            t, table = np.asarray(token_init, dtype=np.float64), self.params["sid_emb"].values
+            if t.shape != table.shape:
+                raise ValueError(f"token_init shape {t.shape}, expected {table.shape}")
+            table[...] = t
 
     # -- parameters ---------------------------------------------------------
 
@@ -118,9 +108,8 @@ class GateSidModel:
         p = {"item_emb": dk.Tensor(item_emb, requires_grad=True),
              "user_emb": dk.Tensor(rng.normal(0.0, 0.05, size=(self.n_users, cfg.d_user)),
                                    requires_grad=True)}
-        for k in range(cfg.sid_levels):
-            p[f"sid_emb{k}"] = dk.Tensor(
-                rng.normal(0.0, 0.05, size=(cfg.sid_codes, cfg.d_token)), requires_grad=True)
+        p["sid_emb"] = dk.Tensor(rng.normal(0.0, 0.05, size=(
+            cfg.sid_levels * cfg.sid_codes, cfg.d_token)), requires_grad=True)
 
         gate_in = self._gate_input_dim()
         p["gate.w1"] = dk.glorot(rng, gate_in, cfg.gate_hidden)
@@ -164,8 +153,7 @@ class GateSidModel:
             p.pop("attn.wq_sid")
             p.pop("attn.wk_sid")
         if self.cfg.variant in ("no_gfsa", "avg_fusion"):
-            # without gated fusion the gate output never touches the loss
-            # (contrastive weights are detached), so it cannot train
+            # without gated fusion the gate is the constant 0.5: the gate MLP never runs
             for k in list(p):
                 if k.startswith("gate."):
                     p.pop(k)
@@ -186,17 +174,19 @@ class GateSidModel:
     # -- building blocks ------------------------------------------------------
 
     def sid_embed(self, sids):
-        """Concatenated per-level token embeddings for index array (..., L)."""
-        sids = np.asarray(sids)
-        parts = [dk.gather_rows(self.params[f"sid_emb{k}"], sids[..., k])
-                 for k in range(self.cfg.sid_levels)]
-        return dk.concat(parts)
+        """Concatenated per-level token embeddings for codes (..., L): one
+        gather of the token table's rows k * K + code, viewed as (..., L * d_token)."""
+        sids, k = np.asarray(sids), self.cfg.sid_codes
+        if sids.size and (sids.min() < 0 or sids.max() >= k):
+            raise IndexError(f"sid_embed: SID code outside [0, {k})")
+        rows = dk.gather_rows(self.params["sid_emb"], sids + k * np.arange(self.cfg.sid_levels))
+        return dk.reshape(rows, sids.shape[:-1] + (-1,))
 
     def gate_weight(self, e_item, stats_norm):
         if not np.all(np.isfinite(stats_norm)):
             raise dk.NonFiniteError("gate_weight")
         v = self.cfg.variant
-        if v == "avg_fusion":
+        if v in ("avg_fusion", "no_gfsa"):  # no gated fusion: nothing trains a gate
             return dk.constant(np.full((e_item.shape[0], 1), 0.5))
         if v == "gate_item_only":
             gin = e_item
@@ -300,7 +290,7 @@ class GateSidModel:
         l_rank = dk.add(dk.tmean(dk.bce_with_logits(out["ctr_logit"], click)),
                         dk.tmean(dk.bce_with_logits(out["ctcvr_logit"], click * pay)))
         parts = {"rank": l_rank}
-        if self.cfg.lam > 0.0:
+        if self.cfg.lam > 0.0 and self.cfg.variant != "no_grca":
             w_cl = out["w"].values if contrast_w is None else contrast_w
             l_cl = self.contrastive_loss(out["e_sid"], out["e_item"],
                                          w_cl, batch["target_ids"])

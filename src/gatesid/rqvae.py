@@ -362,12 +362,14 @@ def save_sid_table(path, item_ids, sids):
     dk.write_csv(path, ["item_id", *(f"s{k+1}" for k in range(sids.shape[1]))], item_ids, sids)
 
 
-def load_sid_table(path, n_items, n_codes):
-    """The (n_items + 1, L) SID table of a ``save_sid_table`` file, row i
-    for item i and row 0, the pad id, zeros. The file must hold items
-    1..n_items, one line each, with codes in [0, n_codes)."""
+def load_sid_table(path, n_items, n_codes, n_levels):
+    """The (n_items + 1, n_levels) SID table of a ``save_sid_table`` file,
+    row i for item i and row 0, the pad id, zeros. The file must hold items
+    1..n_items, one line each, with n_levels codes in [0, n_codes)."""
     _, data = dk.read_csv(path, np.int64)
     item_ids, sids = data[:, 0], data[:, 1:]
+    if sids.shape[1] != n_levels:
+        raise ValueError(f"{path}: {sids.shape[1]} SID levels, but rq_levels={n_levels}")
     ids, counts = np.unique(item_ids, return_counts=True)
     bad = {"out-of-range": ids[(ids < 1) | (ids > n_items)],
            "duplicate": ids[counts > 1],
@@ -380,6 +382,6 @@ def load_sid_table(path, n_items, n_codes):
     if bad_code.any():
         raise ValueError(f"{path}: SID codes outside [0, {n_codes}) at item ids "
                          f"{np.sort(item_ids[bad_code])[:5].tolist()}")
-    table = np.zeros((n_items + 1, sids.shape[1]), dtype=np.int64)
+    table = np.zeros((n_items + 1, n_levels), dtype=np.int64)
     table[item_ids] = sids
     return table

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import diffkernel as dk
 from . import synthcorpus
-from .model import GateSidModel, ModelConfig
+from .model import GateSidModel
 from .rqvae import DivergenceError
 
 log = logging.getLogger("gatesid.train")
@@ -48,12 +48,10 @@ def make_batch(corpus, stats_raw, idx):
     }
 
 
-def train_model(corpus, sid_table, variant="full", seed=0,
-                model_overrides=None, train_config=None, token_init=None):
-    """Train one variant; returns (model, per-epoch mean training loss)."""
+def train_model(corpus, sid_table, model_config, seed=0, train_config=None, token_init=None):
+    """Train one model; returns (model, per-epoch mean training loss)."""
     tc = train_config or TrainConfig()
-    cfg = ModelConfig(variant=variant, **(model_overrides or {}))
-    model = GateSidModel(corpus.n_items, corpus.n_users, sid_table, cfg, seed=seed,
+    model = GateSidModel(corpus.n_items, corpus.n_users, sid_table, model_config, seed=seed,
                          token_init=token_init)
 
     stats_raw = synthcorpus.impression_stat_features(corpus)
@@ -71,7 +69,7 @@ def train_model(corpus, sid_table, variant="full", seed=0,
                 loss, _ = model.loss(batch)
                 value = float(loss.values)
                 if not np.isfinite(value):  # before the step: keep NaN out of AdamW
-                    raise DivergenceError(f"variant {variant}: non-finite loss "
+                    raise DivergenceError(f"variant {model_config.variant}: non-finite loss "
                                           f"at epoch {epoch} step {step}")
                 # last step's gradients are freed only now, after this forward
                 # pass allocated around them: freed at the end of the step, the
@@ -82,6 +80,6 @@ def train_model(corpus, sid_table, variant="full", seed=0,
             opt.step()
             total += value * len(batch["target_ids"])
         curve.append(total / order.size)
-        log.info("variant=%s seed=%d epoch=%d loss=%.5f", variant, seed, epoch, curve[-1])
+        log.info("variant=%s seed=%d epoch=%d loss=%.5f", model.cfg.variant, seed, epoch, curve[-1])
     opt.zero_grad()
     return model, curve

@@ -1,7 +1,9 @@
 """Tape ops that only the tests use, built on diffkernel's recording
 helpers: the scalar sum and the elementwise product that test losses are
 made of, the bias op that ``diffkernel.linear`` absorbed, kept as the
-reference of its one-part call, and the dense InfoNCE composition that
+reference of its one-part call, the concatenation that ``linear``'s parts
+and the model's one SID token table replaced, kept as the reference of
+both, and the dense InfoNCE composition that
 ``diffkernel.info_nce`` replaced, kept as its reference implementation.
 Like diffkernel's ops, each backward closure holds its inputs' slots and
 the arrays it reads, never a Tensor. The composition's three ops
@@ -49,6 +51,22 @@ def add_bias(x, b):
         _accum(sb, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _make(x.values + b.values, (x, b), bw)
+
+
+def concat(parts):
+    """Concatenation along the last axis; the leading shapes must agree."""
+    parts = list(parts)
+    lead = parts[0].shape[:-1]
+    if any(p.shape[:-1] != lead for p in parts):
+        raise dk.ShapeError("concat", *[p.shape for p in parts])
+    offs = np.cumsum([0] + [p.shape[-1] for p in parts])
+    slots = [p.slot for p in parts]
+
+    def bw(g):
+        for sp, lo, hi in zip(slots, offs[:-1], offs[1:]):
+            _accum(sp, g[..., lo:hi])
+
+    return _make(np.concatenate([p.values for p in parts], axis=-1), parts, bw)
 
 
 def cosine_matrix(a, b):

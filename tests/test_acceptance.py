@@ -5,6 +5,7 @@ the same condition. The trained-model criteria share one set of golden-seed
 training runs, so the whole module runs in a few minutes.
 """
 
+import dataclasses
 import hashlib
 import time
 
@@ -15,7 +16,7 @@ import gatesid.diffkernel as dk
 from gatesid import cli, config, evalkit, rqvae, synthcorpus, train
 from gatesid.cli import toy_model_and_batch
 from gatesid.model import ModelConfig, GateSidModel, token_init_from_codebook
-from oracle_ops import tsum
+from oracle_ops import concat, tsum
 
 GOLDEN_SEED = 0
 SEEDS = (0, 1, 2)
@@ -46,8 +47,7 @@ def artifacts(golden_corpus):
     token_init = token_init_from_codebook(codebook, rc.d_token,
                                           target_norm=rc.token_target_norm)
     return {"params": params, "codebook": codebook, "sid_table": table,
-            "token_init": token_init,
-            "model_overrides": config.model_overrides(rc)}
+            "token_init": token_init, "model_config": config.model_config(rc)}
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +59,9 @@ def trained(golden_corpus, artifacts):
         for seed in SEEDS:
             t0 = time.time()
             model, _ = train.train_model(
-                golden_corpus, artifacts["sid_table"], variant=variant,
-                seed=seed, model_overrides=artifacts["model_overrides"],
-                train_config=tc, token_init=artifacts["token_init"])
+                golden_corpus, artifacts["sid_table"],
+                dataclasses.replace(artifacts["model_config"], variant=variant),
+                seed=seed, train_config=tc, token_init=artifacts["token_init"])
             rep = evalkit.evaluate_model(golden_corpus, model, tc.test_frac)
             cells[(variant, seed)] = {"report": rep, "seconds": time.time() - t0,
                                       "model": model if seed == GOLDEN_SEED else None}
@@ -111,8 +111,9 @@ def test_criterion_01_gradient_suite():
         "matmul": check("j", lambda x, z: tsum(dk.matmul(x, z)), [a, m]),
         "linear": check("k", lambda x, z, v, c: tsum(dk.square(dk.linear(
             [x, z], v, c, first_row=1))), [a, b, rng.normal(size=(10, 3)), rng.normal(size=3)]),
-        "concat": check("l", lambda x, z: tsum(dk.square(dk.concat([x, z]))),
+        "concat": check("l", lambda x, z: tsum(dk.square(concat([x, z]))),
                         [a, b]),
+        "reshape": check("o", lambda x: tsum(dk.square(dk.reshape(x, (2, 6)))), [a]),
         "gather": check("m", lambda t: tsum(dk.square(
             dk.gather_rows(t, np.array([0, 2, 2])))), [m]),
         "take_col": check("n", lambda x: tsum(dk.square(dk.take_column(x, 1))),

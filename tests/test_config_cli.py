@@ -69,14 +69,27 @@ def test_build_config_missing_file():
         config.build_config("/nonexistent/run.cfg", [])
 
 
-def test_model_overrides_derive_item_dim():
+def test_model_config_derives_item_dim():
     rc = config.build_config(None, ["rq_levels=3", "d_token=8"])
-    assert ModelConfig(**config.model_overrides(rc)).d_item == 24
+    assert config.model_config(rc).d_item == 24
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("ablate_variants=full,ful", "config key 'ablate_variants': unknown variant 'ful'"),
+    ("ablate_seeds=0,x", "config key 'ablate_seeds': invalid literal for int() with base 10: 'x'"),
+], ids=["variant", "seed"])
+def test_ablate_rejects_bad_list_entry(tmp_path, capsys, setting, message):
+    with pytest.raises(config.ConfigError, match=re.escape(message)):
+        config.build_config(None, [setting])
+    cfg = write_tiny_config(tmp_path)
+    code, out, err = run_cli(capsys, "ablate", "--config", cfg, "--set", setting)
+    assert code == 1 and out == "" and message in err, err
+    assert not (tmp_path / "ablation.csv").exists()
 
 
 # RunConfig keys that no per-module view reads: the seed, artifact paths and
 # settings the CLI applies itself
-RUN_LEVEL_KEYS = {"seed", "variant", "token_warm_start", "token_target_norm",
+RUN_LEVEL_KEYS = {"seed", "token_warm_start", "token_target_norm",
                   "ablate_variants", "ablate_seeds"}
 # keys that two views read on purpose: the corpus and the quantizer share the
 # content width; the quantizer and the model share the SID shape
@@ -97,7 +110,7 @@ class KeyRecorder:
 
 def test_config_views_wire_every_key():
     views = {"corpus": config.corpus_config, "rqvae": config.rqvae_config,
-             "model": config.model_overrides, "train": config.train_config}
+             "model": config.model_config, "train": config.train_config}
     readers = {}
     for name, view in views.items():
         rec = KeyRecorder(config.RunConfig())
@@ -123,7 +136,7 @@ def test_config_view_defaults_match_module_defaults():
     assert config.corpus_config(rc) == synthcorpus.CorpusConfig()
     assert config.rqvae_config(rc) == rqvae.RqVaeConfig()
     assert config.train_config(rc) == train.TrainConfig()
-    assert ModelConfig(**config.model_overrides(rc)) == ModelConfig()
+    assert config.model_config(rc) == ModelConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +199,24 @@ def file_hash(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def test_missing_artifact_exit_code(tmp_path, capsys):
+# stage input -> (stages run before, the stage that reads it, the missing file)
+MISSING_INPUTS = {
+    "corpus": ([], "train", "corpus/items.csv"),
+    "codebook": (["gen-data"], "encode-sids", "codebook.rqv"),
+    "sids": (["gen-data"], "train", "sids.csv"),
+    "checkpoint": ([], "export-emb", "model.ckpt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_artifact_exit_code(tmp_path, capsys, case):
+    before, stage, name = MISSING_INPUTS[case]
     cfg = write_tiny_config(tmp_path)
-    code, out, err = run_cli(capsys, "train", "--config", cfg)
-    assert code == 2
-    assert "items.csv" in err
+    for cmd in before:
+        assert run_cli(capsys, cmd, "--config", cfg, "--seed", "3")[0] == 0
+    code, out, err = run_cli(capsys, stage, "--config", cfg)
+    assert code == 2 and out == ""
+    assert err == f"missing prerequisite artifact: {tmp_path / name}\n"
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -265,7 +291,7 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert header == "item_id," + ",".join(f"v{i+1}" for i in range(24))
     assert row[0] == "1" and len(row) == 25
 
-    table = rqvae.load_sid_table(str(tmp_path / "sids.csv"), 150, 8)
+    table = rqvae.load_sid_table(str(tmp_path / "sids.csv"), 150, 8, 3)
     assert table.shape == (151, 3)
 
     # rerunning the model-training stage reproduces the checkpoint bitwise
@@ -302,25 +328,29 @@ def test_encode_sids_requires_encoder_weights(tmp_path, capsys):
     assert "lacks encoder weights" in err
 
 
-@pytest.mark.parametrize("item_ids, bad_codes, bad_line, message", [
+@pytest.mark.parametrize("item_ids, levels, bad_codes, bad_line, message", [
     # last 10 rows dropped
-    (np.r_[1:141], [], None, "missing item ids [141, 142, 143, 144, 145]"),
-    (np.r_[1:151, 7, 9], [], None, "duplicate item ids [7, 9]"),
-    (np.r_[1:152], [], None, "out-of-range item ids [151]"),
+    (np.r_[1:141], 3, [], None, "missing item ids [141, 142, 143, 144, 145]"),
+    (np.r_[1:151, 7, 9], 3, [], None, "duplicate item ids [7, 9]"),
+    (np.r_[1:152], 3, [], None, "out-of-range item ids [151]"),
     # (item id, level, code) at rq_codes=8; seven bad items, the first five named
-    (np.r_[1:151], [(90, 0, 99), (12, 2, 8), (40, 1, -1), (5, 0, 8), (77, 1, 9),
-                    (120, 2, 50), (150, 0, 8)], None,
+    (np.r_[1:151], 3, [(90, 0, 99), (12, 2, 8), (40, 1, -1), (5, 0, 8), (77, 1, 9),
+                       (120, 2, 50), (150, 0, 8)], None,
      "SID codes outside [0, 8) at item ids [5, 12, 40, 77, 90]"),
     # (file line, its new text): the error names the file line, not a data row
-    (np.r_[1:151], [], (4, "3,abc,0,0"),
+    (np.r_[1:151], 3, [], (4, "3,abc,0,0"),
      "sids.csv line 4: could not convert string 'abc' to int64"),
-    (np.r_[1:151], [], (4, "3,0,0,0,0"), "sids.csv line 4: 5 fields, the header has 4"),
-], ids=["missing", "duplicate", "out-of-range", "bad-code", "non-integer", "extra-field"])
-def test_train_rejects_bad_sid_table(tmp_path, capsys, item_ids, bad_codes, bad_line, message):
+    (np.r_[1:151], 3, [], (4, "3,0,0,0,0"), "sids.csv line 4: 5 fields, the header has 4"),
+    # a table encoded at another rq_levels than the run's
+    (np.r_[1:151], 4, [], None, "sids.csv: 4 SID levels, but rq_levels=3"),
+], ids=["missing", "duplicate", "out-of-range", "bad-code", "non-integer", "extra-field",
+        "level-count"])
+def test_train_rejects_bad_sid_table(tmp_path, capsys, item_ids, levels, bad_codes, bad_line,
+                                     message):
     cfg = write_tiny_config(tmp_path)
     code, _, _ = run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")
     assert code == 0
-    sids = np.zeros((item_ids.size, 3), dtype=np.int64)
+    sids = np.zeros((item_ids.size, levels), dtype=np.int64)
     for item, level, value in bad_codes:
         sids[item - 1, level] = value  # row i holds item i + 1 in this case
     path = tmp_path / "sids.csv"
@@ -332,6 +362,19 @@ def test_train_rejects_bad_sid_table(tmp_path, capsys, item_ids, bad_codes, bad_
     code, _, err = run_cli(capsys, "train", "--config", cfg)
     assert code == 1
     assert "sids.csv" in err and message in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["corpus/items.csv", "sids.csv"])
+def test_train_rejects_header_only_csv(tmp_path, capsys, name):
+    # numpy's loadtxt only warns about a file without data lines
+    cfg = write_tiny_config(tmp_path)
+    assert run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")[0] == 0
+    rqvae.save_sid_table(str(tmp_path / "sids.csv"), np.r_[1:151], np.zeros((150, 3), dtype=int))
+    path = tmp_path / name
+    path.write_text(path.read_text().split("\n")[0] + "\n")
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "token_warm_start=false")
+    assert code == 1 and f"{path}: no data lines" in err, err
 
 
 def test_train_rejects_history_longer_than_l_max(tmp_path, capsys):
@@ -500,8 +543,8 @@ def test_train_model_stops_on_non_finite_loss(monkeypatch, small_corpus, small_s
                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     with pytest.raises(rqvae.DivergenceError,
                        match="variant no_grca: non-finite loss at epoch 0 step 2"):
-        train.train_model(small_corpus, small_sid_table, variant="no_grca",
-                          model_overrides=overrides,
+        train.train_model(small_corpus, small_sid_table,
+                          ModelConfig(variant="no_grca", **overrides),
                           train_config=train.TrainConfig(epochs=1, batch_size=128))
     assert len(steps) == 2  # the NaN loss never reached the optimizer
 

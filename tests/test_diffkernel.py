@@ -13,8 +13,8 @@ import oracle_ops
 from gatesid.diffkernel import tensor
 from gatesid.diffkernel.tensor import _NCE_BLOCK
 from gatesid.model import GateSidModel, ModelConfig
-from oracle_ops import (adamw_step, add_bias, composed_info_nce, cosine_matrix, mul,
-                        softmax_diag, tlog, tsum)
+from oracle_ops import (adamw_step, add_bias, composed_info_nce, concat, cosine_matrix,
+                        mul, softmax_diag, tlog, tsum)
 
 
 RNG = np.random.default_rng(12345)
@@ -146,7 +146,7 @@ def test_linear_parts_match_linear_of_concat(case):
 
     got, grads = _linear_run(by_parts, parts, w, b, g, constant_part)
     want, want_grads = _linear_run(
-        lambda ps, wt, bt: dk.linear(dk.concat(ps), wt, bt, first_row=first_row),
+        lambda ps, wt, bt: dk.linear(concat(ps), wt, bt, first_row=first_row),
         parts, w, b, g, constant_part)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for i, (a, e) in enumerate(zip(grads, want_grads)):
@@ -221,12 +221,12 @@ def test_add_bias_concat_grads():
     fd_check(lambda u, v: tsum(add_bias(u, v)), [x, b])
     p1 = RNG.normal(size=(3, 2))
     p2 = RNG.normal(size=(3, 5))
-    fd_check(lambda u, v: tsum(mul(dk.concat([u, v]), dk.concat([u, v]))), [p1, p2])
+    fd_check(lambda u, v: tsum(mul(concat([u, v]), concat([u, v]))), [p1, p2])
 
 
 def test_concat_shape_error():
     with pytest.raises(dk.ShapeError):
-        dk.concat([dk.constant(np.zeros((2, 3))), dk.constant(np.zeros((3, 3)))])
+        concat([dk.constant(np.zeros((2, 3))), dk.constant(np.zeros((3, 3)))])
 
 
 def test_gather_rows_grads_with_repeats():
@@ -672,7 +672,7 @@ def test_matmul_backward_frees_its_input_before_the_input_gradient():
     try:
         base = tracemalloc.get_traced_memory()[0]
         with dk.Tape() as tape:
-            h = dk.concat(parts)
+            h = concat(parts)
             loss = dk.tmean(dk.matmul(h, w))
             del h
             dk.backward(loss, tape)
@@ -731,9 +731,9 @@ OWNERSHIP_CASES = {
     "add": ([(3, 4), (3, 4)], lambda a, b: _weighted_sum(dk.add(a, b))),
     "add-of-the-seed": ([(), ()], dk.add),
     "add-to-itself": ([(3, 4), (3, 4)], lambda x, y: _weighted_sum(dk.add(dk.add(x, x), y))),
-    "concat-parts": ([(3, 2), (3, 5)], lambda u, v: _weighted_sum(dk.concat([u, v]))),
+    "concat-parts": ([(3, 2), (3, 5)], lambda u, v: _weighted_sum(concat([u, v]))),
     "two-paths": ([(3, 4), (4, 2)],
-                  lambda x, w: _weighted_sum(dk.concat([x, dk.matmul(x, w)]))),
+                  lambda x, w: _weighted_sum(concat([x, dk.matmul(x, w)]))),
     "table": ([(6, 4), (3, 4)], _history_table_loss),
     "linear-windows": ([(3, 2), (3, 3), (6, 4)], lambda x, y, w: _weighted_sum(
         dk.add(dk.linear(x, w, first_row=1), dk.linear([x, y], w, first_row=1)))),

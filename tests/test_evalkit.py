@@ -202,8 +202,8 @@ def test_run_ablation_degenerate_matrix(small_corpus, small_sid_table):
                      attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     tc = train.TrainConfig(epochs=1, batch_size=128, test_frac=0.2)
     cells, summary = evalkit.run_ablation(small_corpus, small_sid_table,
-                                          ["full"], [0], train_config=tc,
-                                          model_overrides=overrides)
+                                          ["full"], [0], ModelConfig(**overrides),
+                                          train_config=tc)
     assert set(cells) == {("full", 0)}
     assert set(cells[("full", 0)]) == {"metrics", "gate", "alignment", "counts"}
     assert 0.0 < summary["full"]["ctr_auc"] < 1.0
@@ -216,10 +216,25 @@ def test_run_ablation_matrix_count_and_isolation(small_corpus, small_sid_table):
     # cell fail; failures must be isolated into the cells, not raised
     cells, summary = evalkit.run_ablation(small_corpus, small_sid_table[:, :2],
                                           ["full", "no_grca"], [0, 1],
-                                          model_overrides=overrides)
+                                          ModelConfig(**overrides))
     assert len(cells) == 4
     assert all(isinstance(v, str) and v.startswith("error:") for v in cells.values())
     assert summary == {"full": {}, "no_grca": {}}
+
+
+def test_run_ablation_replaces_only_the_variant(monkeypatch, small_corpus, small_sid_table):
+    # a no_grca base config keeps its lam, so the full cell trains the alignment loss
+    seen = []
+
+    def spy(corpus, sid_table, model_config, **kwargs):
+        seen.append(model_config)
+        raise RuntimeError("not trained")
+
+    monkeypatch.setattr(train, "train_model", spy)
+    base = ModelConfig(variant="no_grca", lam=0.3)
+    evalkit.run_ablation(small_corpus, small_sid_table, ["full", "no_grca"], [0], base)
+    assert seen == [dataclasses.replace(base, variant="full"), base]
+    assert seen[0].lam == 0.3
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import gatesid.diffkernel as dk
 from gatesid.diffkernel.tensor import _accum, _make
 from gatesid.model import GateSidModel, ModelConfig, VARIANTS, token_init_from_codebook
+from oracle_ops import concat, mul, tsum
 
 
 def tiny_config(**overrides):
@@ -57,10 +58,43 @@ def test_sid_embed_shared_codes_identical():
 
 def test_sid_embed_zero_tables_zero_vector():
     model = tiny_model()
-    for k in range(3):
-        model.params[f"sid_emb{k}"].values[...] = 0.0
+    model.params["sid_emb"].values[...] = 0.0
     out = model.sid_embed(np.array([[3, 1, 7]]))
     assert np.all(out.values == 0.0)
+
+
+def test_sid_embed_matches_per_level_tables_bitwise():
+    # the oracle: L tables of K rows each, one gather per level, concatenated;
+    # two calls reach the table, with repeated codes, as a training step's do
+    model = tiny_model()
+    k = model.cfg.sid_codes
+    table = model.params["sid_emb"]
+    levels = [dk.Tensor(table.values[i * k:(i + 1) * k].copy(), requires_grad=True)
+              for i in range(3)]
+    calls = [model.sid_table[np.array([[1, 2, 3, 2], [4, 4, 5, 0]])], model.sid_table[1:]]
+    rng = np.random.default_rng(13)
+    weights = [dk.constant(rng.normal(size=s.shape[:-1] + (12,))) for s in calls]
+
+    def run(embed):
+        with dk.Tape() as tape:
+            outs = [embed(s) for s in calls]
+            dk.backward(dk.add(*(tsum(mul(o, w)) for o, w in zip(outs, weights))), tape)
+        return [o.values for o in outs]
+
+    got = run(model.sid_embed)
+    want = run(lambda s: concat([dk.gather_rows(t, s[..., i]) for i, t in enumerate(levels)]))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    want_grad = np.concatenate([t.grad for t in levels])
+    assert table.grad.shape == want_grad.shape and table.grad.tobytes() == want_grad.tobytes()
+
+
+def test_sid_embed_rejects_codes_outside_the_level():
+    # a code of K would read the next level's first row of the one table
+    model = tiny_model()
+    for bad in (8, -1):
+        with pytest.raises(IndexError, match=r"SID code outside \[0, 8\)"):
+            model.sid_embed(np.array([[1, bad, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +341,7 @@ class PerSlotModel(GateSidModel):
             s_sid = attention(e_sid, h_sid_seq, "attn.wq_sid", "attn.wk_sid")
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
-        pooled = dk.concat([slot_pool(s_fused, h_sid_seq), slot_pool(s_fused, h_item_seq)])
+        pooled = concat([slot_pool(s_fused, h_sid_seq), slot_pool(s_fused, h_item_seq)])
         return dk.linear(pooled, self.params["head.w1"])
 
 
@@ -367,6 +401,13 @@ def test_avg_fusion_uses_half_weights():
     assert np.all(out["w"].values == 0.5)
 
 
+def test_no_gfsa_gate_is_the_constant_half():
+    # no_gfsa trains no gate, so its report and its alignment weights read 0.5
+    model = tiny_model("no_gfsa")
+    assert np.all(model.forward(tiny_batch(model))["w"].values == 0.5)
+    assert np.all(model.item_gate_weights(np.ones((6, 3))) == 0.5)
+
+
 def test_no_gfsa_uses_item_attention_only():
     m_full = tiny_model("full")
     m_no = tiny_model("no_gfsa")
@@ -388,10 +429,10 @@ def test_trainable_params_per_variant():
     assert "attn.wq_sid" in avg
 
 
-def test_no_grca_sets_lambda_zero():
-    cfg = ModelConfig(variant="no_grca", lam=0.5)
-    assert cfg.lam == 0.0
-    model = tiny_model("no_grca")
+def test_no_grca_has_no_alignment_loss():
+    # lam is kept as set, so replacing the variant of a no_grca config keeps it
+    assert dataclasses.replace(ModelConfig(variant="no_grca"), variant="full").lam == 0.1
+    model = tiny_model("no_grca", lam=0.5)
     _, parts = model.loss(tiny_batch(model))
     assert "contrastive" not in parts
     assert float(parts["total"].values) == float(parts["rank"].values)
@@ -505,13 +546,15 @@ def test_token_init_from_codebook_geometry():
     rng = np.random.default_rng(9)
     codes = rng.normal(size=(3, 8, 6))
     toks = token_init_from_codebook(codes, d_token=10, target_norm=4.0)
-    assert len(toks) == 3 and toks[0].shape == (8, 10)
-    assert np.all(toks[0][:, 6:] == 0.0)  # zero padding beyond the code dims
-    concat_norm = np.sqrt(sum((t ** 2).sum(axis=1).mean() for t in toks))
+    assert toks.shape == (3 * 8, 10)  # row k * 8 + c: code c at level k
+    assert np.all(toks[:, 6:] == 0.0)  # zero padding beyond the code dims
+    levels = toks.reshape(3, 8, 10)
+    assert np.allclose(levels[..., :6], codes * (levels[0, 0, 0] / codes[0, 0, 0]))
+    concat_norm = np.sqrt(sum((t ** 2).sum(axis=1).mean() for t in levels))
     assert concat_norm == pytest.approx(4.0, rel=1e-12)
     # truncation branch
     toks2 = token_init_from_codebook(codes, d_token=4)
-    assert toks2[0].shape == (8, 4)
+    assert toks2.shape == (3 * 8, 4)
     with pytest.raises(ValueError):
         token_init_from_codebook(np.zeros((2, 4, 3)), d_token=4)
 
@@ -519,15 +562,14 @@ def test_token_init_from_codebook_geometry():
 def test_token_init_applied_and_validated():
     rng = np.random.default_rng(10)
     table = np.zeros((7, 3), dtype=np.int64)
-    init = [rng.normal(size=(8, 4)) for _ in range(3)]
+    init = rng.normal(size=(3 * 8, 4))
     model = GateSidModel(6, 3, table, tiny_config(), seed=0, token_init=init)
-    for k in range(3):
-        assert np.array_equal(model.params[f"sid_emb{k}"].values, init[k])
+    assert np.array_equal(model.params["sid_emb"].values, init)
     with pytest.raises(ValueError):
-        GateSidModel(6, 3, table, tiny_config(), seed=0, token_init=init[:2])
+        GateSidModel(6, 3, table, tiny_config(), seed=0, token_init=init[:16])
     with pytest.raises(ValueError):
         GateSidModel(6, 3, table, tiny_config(), seed=0,
-                     token_init=[rng.normal(size=(8, 5))] * 3)
+                     token_init=rng.normal(size=(3 * 8, 5)))
 
 
 def test_sid_table_shape_validated():

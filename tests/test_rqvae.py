@@ -426,7 +426,8 @@ def test_sid_table_roundtrip(tmp_path, small_rq):
     path = str(tmp_path / "sids.csv")
     ids = np.arange(1, small_rq["sids"].shape[0] + 1)
     rqvae.save_sid_table(path, ids, small_rq["sids"])
-    table = rqvae.load_sid_table(path, ids.size, small_rq["config"].codes_per_level)
+    table = rqvae.load_sid_table(path, ids.size, small_rq["config"].codes_per_level,
+                                 small_rq["config"].levels)
     assert table.dtype == np.int64 and table.shape == (ids.size + 1, 3)
     assert np.array_equal(table[1:], small_rq["sids"])
     assert not table[0].any()  # the pad id
