@@ -312,6 +312,26 @@ def gather_rows(table, idx):
     return _make(table.values[idx], (table,), bw)
 
 
+def add_rows(x, t, pos):
+    """x + t[pos] for x (B, D), t (V, D) and an integer index pos (B,): row i
+    of x plus row pos[i] of t. The output is the only (B, D) array built;
+    the backward passes g to x and ``scatter_rows`` of g to t."""
+    pos = np.asarray(pos)
+    if (x.values.ndim != 2 or t.values.ndim != 2 or x.shape[1] != t.shape[1]
+            or pos.shape != x.shape[:1]):
+        raise ShapeError("add_rows", x.shape, t.shape, pos.shape)
+    _check_rows("add_rows", pos, t.shape[0])
+    out = np.take(t.values, pos, axis=0)
+    out += x.values
+    sx, st = x.slot, t.slot
+
+    def bw(g):
+        _accum(st, scatter_rows(st.shape[0], pos, g))  # before x may adopt g
+        _accum(sx, g)
+
+    return _make(out, (x, t), bw)
+
+
 def take_column(x, j):
     if x.values.ndim != 2 or not (0 <= j < x.shape[1]):
         raise ShapeError("take_column", x.shape)

@@ -182,30 +182,37 @@ class GateSidModel:
         rows = dk.gather_rows(self.params["sid_emb"], sids + k * np.arange(self.cfg.sid_levels))
         return dk.reshape(rows, sids.shape[:-1] + (-1,))
 
-    def gate_weight(self, e_item, stats_norm):
+    def gate_weight(self, e_item, pos, stats_norm):
+        """Gate value per impression: impression i pairs row pos[i] of e_item
+        with row i of stats_norm. The e_item window of ``gate.w1`` is applied
+        once per row of e_item, the stats window and ``gate.b1`` once per
+        impression."""
         if not np.all(np.isfinite(stats_norm)):
             raise dk.NonFiniteError("gate_weight")
         v = self.cfg.variant
         if v in ("avg_fusion", "no_gfsa"):  # no gated fusion: nothing trains a gate
-            return dk.constant(np.full((e_item.shape[0], 1), 0.5))
+            return dk.constant(np.full((len(pos), 1), 0.5))
+        w1, b1 = self.params["gate.w1"], self.params["gate.b1"]
         if v == "gate_item_only":
-            gin = e_item
+            pre = dk.gather_rows(dk.linear(e_item, w1, b1), pos)
         elif v == "gate_stats_only":
-            gin = dk.constant(stats_norm)
-        else:
-            gin = [e_item, dk.constant(stats_norm)]
-        h = dk.relu(dk.linear(gin, self.params["gate.w1"], self.params["gate.b1"]))
-        return dk.sigmoid(dk.linear(h, self.params["gate.w2"], self.params["gate.b2"]))
+            pre = dk.linear(dk.constant(stats_norm), w1, b1)
+        else:  # gate.w1's rows: e_item, then stats
+            pre = dk.add_rows(dk.linear(dk.constant(stats_norm), w1, b1,
+                                        first_row=self.cfg.d_item), dk.linear(e_item, w1), pos)
+        return dk.sigmoid(dk.linear(dk.relu(pre), self.params["gate.w2"], self.params["gate.b2"]))
 
-    def _attention(self, e_target, rows, idx, wq, wk, mask):
-        """Masked attention of each target over its history, whose slot
-        (b, l) holds row idx[b, l] of rows: keys are projected once per row."""
-        q = dk.matmul(e_target, self.params[wq])
+    def _attention(self, e_target, pos, rows, idx, wq, wk, mask):
+        """Masked attention of each impression's target over its history.
+        Impression b's query is row pos[b] of e_target projected, so each
+        target row is projected once; its slot (b, l) holds row idx[b, l] of
+        rows, and keys are projected once per row."""
+        q = dk.gather_rows(dk.matmul(e_target, self.params[wq]), pos)
         keys = dk.matmul(rows, self.params[wk])
         scores = dk.affine(dk.attention_scores(q, keys, idx), 1.0 / np.sqrt(self.cfg.attn_dim))
         return dk.row_softmax(scores, mask=mask)
 
-    def _pool_history(self, hist_ids, e_item, e_sid, w):
+    def _pool_history(self, hist_ids, e_item, e_sid, pos, w):
         """Gated fused attention over the history; returns the pooled
         (SID, item) vectors already through their rows of ``head.w1``. Each
         distinct history id in the batch, pad included, is embedded and
@@ -218,11 +225,13 @@ class GateSidModel:
         h_sid_rows = self.sid_embed(self.sid_table[uniq])
         mask = hist_ids > 0
 
-        s_item = self._attention(e_item, h_item_rows, idx, "attn.wq_item", "attn.wk_item", mask)
+        s_item = self._attention(e_item, pos, h_item_rows, idx, "attn.wq_item", "attn.wk_item",
+                                 mask)
         if self.cfg.variant == "no_gfsa":
             s_fused = s_item
         else:
-            s_sid = self._attention(e_sid, h_sid_rows, idx, "attn.wq_sid", "attn.wk_sid", mask)
+            s_sid = self._attention(e_sid, pos, h_sid_rows, idx, "attn.wq_sid", "attn.wk_sid",
+                                    mask)
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
         rows = dk.linear([h_sid_rows, h_item_rows], self.params["head.w1"])
@@ -232,25 +241,36 @@ class GateSidModel:
 
     def forward(self, batch):
         """batch: dict with target_ids (B,), hist_ids (B,L), user_ids (B,),
-        stats_raw (B,n_stat). Returns a dict of Tensors: the two heads' logits,
-        the gate weight w and the target embeddings."""
+        stats_raw (B,n_stat). Returns a dict of Tensors: the two heads' logits
+        and the gate weight w, one row per impression, and the target
+        embeddings e_sid and e_item, one row per distinct target in order of
+        first occurrence; plus ``first``, each such target's first impression.
+        Each distinct target goes through the target windows of ``gate.w1``,
+        ``attn.wq_*`` and ``head.w1`` once; impression i reads row pos[i]."""
         target_ids = np.asarray(batch["target_ids"])
         hist_ids = np.asarray(batch["hist_ids"])
         user_ids = np.asarray(batch["user_ids"])
         if target_ids.min() < 1 or target_ids.max() > self.n_items:
             raise IndexError("forward: unknown target item id")
         stats_norm = self.normalize_stats(batch["stats_raw"])
+        _, first, inverse = np.unique(target_ids, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        first, pos = first[order], np.argsort(order)[inverse.reshape(-1)]
 
-        e_item = dk.gather_rows(self.params["item_emb"], target_ids)
-        e_sid = self.sid_embed(self.sid_table[target_ids])
+        ids = target_ids[first]
+        e_item = dk.gather_rows(self.params["item_emb"], ids)
+        e_sid = self.sid_embed(self.sid_table[ids])
         e_user = dk.gather_rows(self.params["user_emb"], user_ids)
-        w = self.gate_weight(e_item, stats_norm)
-        pooled = self._pool_history(hist_ids, e_item, e_sid, w)
+        w = self.gate_weight(e_item, pos, stats_norm)
+        pooled = self._pool_history(hist_ids, e_item, e_sid, pos, w)
 
-        # head.w1's rows: pooled (SID, item) vectors, then the inputs below
-        z1 = dk.relu(dk.add(pooled, dk.linear(
-            [e_sid, e_item, dk.constant(stats_norm), e_user], self.params["head.w1"],
-            self.params["head.b1"], first_row=2 * self.cfg.d_item)))
+        # head.w1's rows: pooled (SID, item) vectors, target (SID, item)
+        # embeddings, stats, user
+        w1, d = self.params["head.w1"], self.cfg.d_item
+        per_impression = dk.linear([dk.constant(stats_norm), e_user], w1, self.params["head.b1"],
+                                   first_row=4 * d)
+        z1 = dk.relu(dk.add_rows(dk.add(pooled, per_impression),
+                                 dk.linear([e_sid, e_item], w1, first_row=2 * d), pos))
         z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
         logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
         return {
@@ -259,22 +279,19 @@ class GateSidModel:
             "w": w,
             "e_sid": e_sid,
             "e_item": e_item,
+            "first": first,
         }
 
     # -- losses ------------------------------------------------------------------
 
-    def contrastive_loss(self, e_sid, e_item, w_values, target_ids):
-        """Gate-weighted in-batch InfoNCE over item-deduplicated pairs.
+    def contrastive_loss(self, e_sid, e_item, w):
+        """Gate-weighted in-batch InfoNCE over distinct items: row i of e_sid
+        and of e_item embed one item, and w[i] is its weight.
 
         w enters as a per-instance constant: the gate stays trainable through
         the fused attention, but cannot shrink the alignment loss directly.
         """
-        _, first = np.unique(np.asarray(target_ids), return_index=True)
-        keep = np.sort(first)
-        a = dk.gather_rows(e_sid, keep)
-        b = dk.gather_rows(e_item, keep)
-        wk = np.asarray(w_values).reshape(-1)[keep]
-        return dk.affine(dk.info_nce(a, b, wk, self.cfg.tau), 1.0 / keep.size)
+        return dk.affine(dk.info_nce(e_sid, e_item, w, self.cfg.tau), 1.0 / len(w))
 
     def loss(self, batch, contrast_w=None):
         """Total objective on one batch. Returns (total, parts dict).
@@ -291,9 +308,10 @@ class GateSidModel:
                         dk.tmean(dk.bce_with_logits(out["ctcvr_logit"], click * pay)))
         parts = {"rank": l_rank}
         if self.cfg.lam > 0.0 and self.cfg.variant != "no_grca":
-            w_cl = out["w"].values if contrast_w is None else contrast_w
+            # each distinct target weighted by its first impression's gate value
+            w_cl = out["w"].values if contrast_w is None else np.asarray(contrast_w)
             l_cl = self.contrastive_loss(out["e_sid"], out["e_item"],
-                                         w_cl, batch["target_ids"])
+                                         w_cl.reshape(-1)[out["first"]])
             parts["contrastive"] = l_cl
             total = dk.add(l_rank, dk.affine(l_cl, self.cfg.lam))
         else:
@@ -327,7 +345,8 @@ class GateSidModel:
         """Gate value per item (rows follow raw_stats, aligned with ids 1..n)."""
         ids = np.arange(1, self.n_items + 1)
         e_item = dk.constant(self.params["item_emb"].values[ids])
-        return self.gate_weight(e_item, self.normalize_stats(raw_stats)).values[:, 0]
+        return self.gate_weight(e_item, np.arange(self.n_items),
+                                self.normalize_stats(raw_stats)).values[:, 0]
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -348,8 +367,9 @@ class GateSidModel:
     def load(cls, path):
         """Rebuild a saved model. The manifest is checked against the model
         it describes before anything is copied: an unknown or missing config
-        key, a missing or extra array, or an array of the wrong shape is a
-        ValueError that names the file and the key."""
+        key, a missing or extra array, an array of the wrong shape, or a SID
+        table with a code that is not a whole number in [0, sid_codes) or a
+        non-zero pad row is a ValueError that names the file and the key."""
         arrays, meta = dk.load_arrays(path)
         keys, want_keys = set(meta["config"]), {f.name for f in fields(ModelConfig)}
         for what, bad in (("unknown", keys - want_keys), ("missing", want_keys - keys)):
@@ -366,6 +386,14 @@ class GateSidModel:
             if arrays[k].shape != want[k].shape:
                 raise ValueError(f"{path}: array '{k}' has shape {arrays[k].shape}, "
                                  f"the model expects {want[k].shape}")
+        codes = arrays["sid_table"]  # float64 on disk, copied into int64
+        whole = np.isfinite(codes) & (np.floor(codes) == codes)
+        bad = ("a non-finite or fractional code" if not whole.all()
+               else f"a code outside [0, {cfg.sid_codes})"
+               if codes.min() < 0 or codes.max() >= cfg.sid_codes
+               else "a non-zero pad row" if np.any(codes[0] != 0) else None)
+        if bad:
+            raise ValueError(f"{path}: array 'sid_table' holds {bad}")
         for k, v in want.items():
             v[...] = arrays[k]
         model.stat_mean = np.array(meta["stat_mean"])

@@ -40,6 +40,11 @@ def tiny_batch(model, seed=1, b=4):
     }
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # SID embedding
 
@@ -106,7 +111,7 @@ def test_gate_zero_weights_gives_half():
     for k in ("gate.w1", "gate.b1", "gate.w2", "gate.b2"):
         model.params[k].values[...] = 0.0
     e = dk.constant(np.random.default_rng(0).normal(size=(5, 12)))
-    w = model.gate_weight(e, np.zeros((5, 3)))
+    w = model.gate_weight(e, np.arange(5), np.zeros((5, 3)))
     assert w.values == pytest.approx(np.full((5, 1), 0.5))
 
 
@@ -114,14 +119,14 @@ def test_gate_large_bias_saturates():
     model = tiny_model()
     model.params["gate.b2"].values[...] = 50.0
     e = dk.constant(np.zeros((2, 12)))
-    assert model.gate_weight(e, np.zeros((2, 3))).values == pytest.approx(1.0)
+    assert model.gate_weight(e, np.arange(2), np.zeros((2, 3))).values == pytest.approx(1.0)
 
 
 def test_gate_rejects_nonfinite_stats():
     model = tiny_model()
     e = dk.constant(np.zeros((1, 12)))
     with pytest.raises(dk.NonFiniteError):
-        model.gate_weight(e, np.array([[np.nan, 0.0, 0.0]]))
+        model.gate_weight(e, np.arange(1), np.array([[np.nan, 0.0, 0.0]]))
 
 
 def test_gate_input_variants():
@@ -142,8 +147,8 @@ def attention_at_b1(e, seq, mask, d):
     model.params["attn.wk_item"] = dk.constant(np.eye(d))
     seq = seq[None, :, :]
     b, n, _ = seq.shape
-    return model._attention(dk.constant(e[None, :]), dk.constant(seq.reshape(-1, d)),
-                            np.arange(b * n).reshape(b, n),
+    return model._attention(dk.constant(e[None, :]), np.arange(b),
+                            dk.constant(seq.reshape(-1, d)), np.arange(b * n).reshape(b, n),
                             "attn.wq_item", "attn.wk_item", np.asarray(mask)[None, :])
 
 
@@ -318,18 +323,40 @@ def slot_pool(s, h):
 
 
 class PerSlotModel(GateSidModel):
-    """Oracle: every history slot gathers its own item and SID rows,
-    concatenates its SID rows and projects its own keys; both sequences are
-    pooled, and then the pooled pair goes through head.w1's first 2 * d_item
-    rows."""
+    """Oracle: every impression gathers its own target rows and projects
+    them through the target windows of gate.w1 (gate_weight with one row
+    per impression), attn.wq_* and head.w1; InfoNCE reads each item's first
+    impression. Every history slot gathers its own item
+    and SID rows, concatenates its SID rows and projects its own keys; both
+    sequences are pooled, and then the pooled pair goes through head.w1's
+    first 2 * d_item rows."""
 
-    def _pool_history(self, hist_ids, e_item, e_sid, w):
+    def forward(self, batch):
+        target_ids = np.asarray(batch["target_ids"])
+        stats = dk.constant(self.normalize_stats(batch["stats_raw"]))
+        e_item = dk.gather_rows(self.params["item_emb"], target_ids)
+        e_sid = self.sid_embed(self.sid_table[target_ids])
+        e_user = dk.gather_rows(self.params["user_emb"], np.asarray(batch["user_ids"]))
+        every = np.arange(target_ids.size)
+        w = self.gate_weight(e_item, every, stats.values)
+        pooled = self._pool_history(np.asarray(batch["hist_ids"]), e_item, e_sid, every, w)
+        z1 = dk.relu(dk.add(pooled, dk.linear(
+            [e_sid, e_item, stats, e_user], self.params["head.w1"], self.params["head.b1"],
+            first_row=2 * self.cfg.d_item)))
+        z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
+        logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
+        first = np.sort(np.unique(target_ids, return_index=True)[1])
+        return {"ctr_logit": dk.take_column(logits, 0), "ctcvr_logit": dk.take_column(logits, 1),
+                "w": w, "e_sid": dk.gather_rows(e_sid, first),
+                "e_item": dk.gather_rows(e_item, first), "first": first}
+
+    def _pool_history(self, hist_ids, e_item, e_sid, pos, w):
         h_item_seq = dk.gather_rows(self.params["item_emb"], hist_ids)
         h_sid_seq = self.sid_embed(self.sid_table[hist_ids])
         mask = hist_ids > 0
 
         def attention(e_target, seq, wq, wk):
-            q = dk.matmul(e_target, self.params[wq])
+            q = dk.matmul(dk.gather_rows(e_target, pos), self.params[wq])
             k = dk.matmul(seq, self.params[wk])
             scores = dk.affine(slot_scores(q, k), 1.0 / np.sqrt(self.cfg.attn_dim))
             return dk.row_softmax(scores, mask=mask)
@@ -358,10 +385,11 @@ def test_dedup_history_matches_per_slot_oracle(variant):
     model = tiny_model(variant)
     oracle = tiny_model(variant, cls=PerSlotModel)
     rng = np.random.default_rng(12)
-    # heavy id repetition within and across rows, an all-pad row, and
-    # targets that also sit in their own history
+    # heavy id repetition within and across rows, an all-pad row, targets
+    # that also sit in their own history, and repeated targets whose order
+    # of first occurrence is not their id order
     batch = {
-        "target_ids": np.array([1, 2, 3, 2, 1, 4]),
+        "target_ids": np.array([3, 2, 2, 1, 1, 4]),
         "hist_ids": np.array([[1, 1, 2, 1, 2], [0, 0, 0, 0, 0], [0, 2, 2, 2, 3],
                               [3, 1, 3, 1, 3], [0, 0, 1, 1, 1], [2, 2, 2, 2, 2]]),
         "user_ids": rng.integers(0, model.n_users, size=6),
@@ -371,6 +399,7 @@ def test_dedup_history_matches_per_slot_oracle(variant):
     }
     out, grads = loss_and_grads(model, batch)
     want_out, want_grads = loss_and_grads(oracle, batch)
+    assert np.array_equal(out["first"], want_out["first"])
     for k in ("ctr_logit", "ctcvr_logit", "w", "e_sid", "e_item"):
         np.testing.assert_allclose(out[k].values, want_out[k].values, rtol=0, atol=1e-12)
     for k in model.trainable_params():
@@ -460,7 +489,7 @@ def test_attention_init_ties_keys_to_queries():
 def test_contrastive_batch_of_one_is_zero():
     model = tiny_model()
     e = dk.constant(np.random.default_rng(3).normal(size=(1, 12)))
-    loss = model.contrastive_loss(e, e, np.array([1.0]), np.array([4]))
+    loss = model.contrastive_loss(e, e, np.array([1.0]))
     assert float(loss.values) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -469,7 +498,7 @@ def test_contrastive_equal_similarities_log_b(b):
     model = tiny_model(n_items=100)
     row = np.random.default_rng(4).normal(size=12)
     e = dk.constant(np.tile(row, (b, 1)))  # every pairwise cosine equals 1
-    loss = model.contrastive_loss(e, e, np.ones(b), np.arange(1, b + 1))
+    loss = model.contrastive_loss(e, e, np.ones(b))
     assert float(loss.values) == pytest.approx(np.log(b), abs=1e-10)
 
 
@@ -477,30 +506,37 @@ def test_contrastive_orthogonal_pair_closed_form():
     model = tiny_model()
     model.cfg.tau = 1.0
     a = dk.constant(np.array([[1.0] + [0.0] * 11, [0.0, 1.0] + [0.0] * 10]))
-    loss = model.contrastive_loss(a, a, np.ones(2), np.array([1, 2]))
+    loss = model.contrastive_loss(a, a, np.ones(2))
     assert float(loss.values) == pytest.approx(np.log(1 + np.exp(-1.0)), abs=1e-10)
 
 
-def test_contrastive_deduplicates_repeated_items():
-    model = tiny_model()
-    rng = np.random.default_rng(5)
-    e = dk.constant(rng.normal(size=(4, 12)))
-    w = np.array([1.0, 1.0, 1.0, 1.0])
-    ids = np.array([2, 2, 5, 5])
-    dedup = model.contrastive_loss(dk.gather_rows(e, np.array([0, 2])),
-                                   dk.gather_rows(e, np.array([0, 2])),
-                                   np.ones(2), np.array([2, 5]))
-    full = model.contrastive_loss(e, e, w, ids)
-    assert float(full.values) == pytest.approx(float(dedup.values), abs=1e-12)
+def test_contrastive_deduplicates_repeated_items(monkeypatch):
+    # InfoNCE sees each item once, at its first impression, in order of first
+    # occurrence: rows, order and weights bitwise those of the per-impression
+    # oracle, which gathers every impression's rows and keeps the first ones
+    calls, nce = [], dk.info_nce
+    monkeypatch.setattr(dk, "info_nce", lambda a, b, w, tau: calls.append(
+        (a.values, b.values, w)) or nce(a, b, w, tau))
+    ids = np.array([5, 2])
+    for variant in (v for v in VARIANTS if v != "no_grca"):
+        model = tiny_model(variant)
+        batch = tiny_batch(model) | {"target_ids": ids[[0, 1, 0, 1]]}
+        for m in (model, tiny_model(variant, cls=PerSlotModel)):
+            m.loss(batch)
+        got, want = calls[-2:]
+        assert all(same_bits(g, k) for g, k in zip(got, want)), variant
+        assert same_bits(got[1], model.params["item_emb"].values[ids])
+        assert same_bits(got[0], model.sid_embed(model.sid_table[ids]).values)
+        assert same_bits(got[2], model.forward(batch)["w"].values[[0, 1], 0]), variant
 
 
 def test_contrastive_weights_scale_loss():
     model = tiny_model()
     rng = np.random.default_rng(6)
     e = dk.constant(rng.normal(size=(3, 12)))
-    l1 = float(model.contrastive_loss(e, e, np.ones(3), np.array([1, 2, 3])).values)
-    l0 = float(model.contrastive_loss(e, e, np.zeros(3), np.array([1, 2, 3])).values)
-    lh = float(model.contrastive_loss(e, e, np.full(3, 0.5), np.array([1, 2, 3])).values)
+    l1 = float(model.contrastive_loss(e, e, np.ones(3)).values)
+    l0 = float(model.contrastive_loss(e, e, np.zeros(3)).values)
+    lh = float(model.contrastive_loss(e, e, np.full(3, 0.5)).values)
     assert l0 == pytest.approx(0.0, abs=1e-15)
     assert lh == pytest.approx(0.5 * l1, abs=1e-12)
 
@@ -595,17 +631,35 @@ def test_save_load_roundtrip_bitwise(tmp_path):
 
 
 def test_predict_is_sigmoid_of_forward_logits():
+    # per chunk, bitwise: chunk invariance is tested on its own below
     model = tiny_model()
     batch = tiny_batch(model)
     model.params["head.b3"].values[:] = [3.0, -3.0]  # logits of both signs
-    out = model.forward(batch)
-    preds = model.predict(batch, batch_size=3)  # two chunks
-    for key in ("ctr", "ctcvr"):
-        z = out[key + "_logit"].values
-        e = np.exp(-np.abs(z))
-        want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        assert np.array_equal(preds["p" + key].view(np.int64), want.view(np.int64)), key
-    assert np.array_equal(preds["w"], out["w"].values[:, 0])
+    for size in (1, 2, 3):
+        preds = model.predict(batch, batch_size=size)
+        for lo in range(0, 4, size):
+            rows = slice(lo, lo + size)
+            out = model.forward({k: batch[k][rows] for k in
+                                 ("target_ids", "hist_ids", "user_ids", "stats_raw")})
+            for key in ("ctr", "ctcvr"):
+                z = out[key + "_logit"].values
+                e = np.exp(-np.abs(z))
+                want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+                assert same_bits(preds["p" + key][rows], want), (size, lo, key)
+            assert same_bits(preds["w"][rows], out["w"].values[:, 0]), (size, lo)
+
+
+def test_predict_does_not_depend_on_the_chunk_size():
+    # chunks of repeated targets hold different distinct-target sets, and a
+    # one-row product rounds differently from a many-row one: hence a bound
+    model = tiny_model()
+    batch = tiny_batch(model) | {"target_ids": np.array([3, 1, 3, 3])}
+    model.params["head.b3"].values[:] = [3.0, -3.0]
+    whole = model.predict(batch)
+    for size in (1, 2, 3):
+        preds = model.predict(batch, batch_size=size)
+        for k, p in whole.items():
+            assert np.abs(preds[k] - p).max() <= 1e-15, (size, k)
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -614,8 +668,13 @@ def test_predict_is_sigmoid_of_forward_logits():
     (lambda cfg, arrays: arrays.pop("gate.w2"), "gate.w2"),
     (lambda cfg, arrays: arrays.update(extra=np.zeros(2)), "extra"),
     (lambda cfg, arrays: arrays.update({"head.b3": np.zeros(1)}), "head.b3"),
+    (lambda cfg, arrays: arrays["sid_table"].__setitem__((1, 0), np.inf), "sid_table"),
+    (lambda cfg, arrays: arrays["sid_table"].__setitem__((1, 0), 2.7), "sid_table"),
+    (lambda cfg, arrays: arrays["sid_table"].__setitem__((1, 0), 8.0), "sid_table"),
+    (lambda cfg, arrays: arrays["sid_table"].__setitem__((0, 2), 1.0), "sid_table"),
 ], ids=["unknown_config_key", "missing_config_key", "missing_array", "extra_array",
-        "shape_mismatch"])
+        "shape_mismatch", "nonfinite_sid_code", "fractional_sid_code", "sid_code_outside_level",
+        "nonzero_sid_pad_row"])
 def test_load_rejects_checkpoint_that_does_not_fit(tmp_path, edit, key):
     path = str(tmp_path / "m.ckpt")
     tiny_model().save(path)
