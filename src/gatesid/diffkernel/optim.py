@@ -4,6 +4,8 @@ import numpy as np
 
 from .tensor import Tape, backward
 
+_STEP_BLOCK = 1 << 15  # elements per AdamW update block (at least one row)
+
 
 class MissingGradError(RuntimeError):
     def __init__(self, name):
@@ -24,30 +26,37 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.values) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in self.params.items()}
-        n = max((p.values.size for p in self.params.values()), default=0)
-        self._scratch = (np.empty(n), np.empty(n))  # a step's intermediates
+        self._rows, n = {}, 0  # leading-axis rows per block; the largest block
+        for k, p in self.params.items():
+            row = int(np.prod(p.shape[1:]))
+            self._rows[k] = max(1, _STEP_BLOCK // max(1, row))
+            n = max(n, min(p.values.size, self._rows[k] * row))
+        self._scratch = (np.empty(n), np.empty(n))  # a block's intermediates
 
     def step(self):
-        """Update in place: the out-of-place formula's operations in the same
-        order, so the same bits, without parameter-sized temporaries."""
+        """Update in place, in blocks of leading-axis rows (views for any
+        layout): the out-of-place formula's operations in the same order, so
+        the same bits, with block-sized scratch instead of temporaries."""
         self.t += 1
         b1, b2, lr = self.beta1, self.beta2, self.lr
         for name, p in self.params.items():
             if p.grad is None:
                 raise MissingGradError(name)
-            g, m, v = p.grad, self.m[name], self.v[name]
-            s1, s2 = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
-            if self.weight_decay:
-                p.values *= 1.0 - lr * self.weight_decay
-            m *= b1  # m = b1 * m + (1 - b1) * g
-            m += np.multiply(1.0 - b1, g, out=s1)
-            v *= b2  # v = b2 * v + (1 - b2) * g * g
-            v += np.multiply(np.multiply(1.0 - b2, g, out=s1), g, out=s1)
-            np.divide(m, 1.0 - b1**self.t, out=s1)  # m_hat
-            np.divide(v, 1.0 - b2**self.t, out=s2)  # v_hat
-            s1 *= lr  # p -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.add(np.sqrt(s2, out=s2), self.eps, out=s2)
-            p.values -= np.divide(s1, s2, out=s1)
+            arrays = [np.atleast_1d(a) for a in (p.values, p.grad, self.m[name], self.v[name])]
+            for lo in range(0, len(arrays[0]), self._rows[name]):
+                x, g, m, v = (a[lo:lo + self._rows[name]] for a in arrays)
+                s1, s2 = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
+                if self.weight_decay:
+                    x *= 1.0 - lr * self.weight_decay
+                m *= b1  # m = b1 * m + (1 - b1) * g
+                m += np.multiply(1.0 - b1, g, out=s1)
+                v *= b2  # v = b2 * v + (1 - b2) * g * g
+                v += np.multiply(np.multiply(1.0 - b2, g, out=s1), g, out=s1)
+                np.divide(m, 1.0 - b1**self.t, out=s1)  # m_hat
+                np.divide(v, 1.0 - b2**self.t, out=s2)  # v_hat
+                s1 *= lr  # p -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.add(np.sqrt(s2, out=s2), self.eps, out=s2)
+                x -= np.divide(s1, s2, out=s1)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -198,12 +198,13 @@ def sigmoid(x):
 
 
 def relu(x):
-    mask, sx = x.values > 0, x.slot
+    """max(x, 0), NaN to 0; the backward reads the output: out > 0 iff x > 0."""
+    out, sx = np.where(x.values > 0, x.values, 0.0), x.slot
 
     def bw(g):
-        _accum(sx, g * mask)
+        _accum(sx, g * (out > 0))
 
-    return _make(np.where(mask, x.values, 0.0), (x,), bw)
+    return _make(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +433,10 @@ def _scatter_outer(n_rows, idx, w, v):
         flat, w, rows = flat[keep], w[keep], rows[keep]
     prod = np.empty(w.shape)
     out = np.empty((n_rows, v.shape[1]))
-    for j, col in enumerate(v.T.copy()):  # contiguous columns gather faster
-        np.multiply(w, np.take(col, rows, out=prod), out=prod)
-        out[:, j] = np.bincount(flat, weights=prod, minlength=n_rows)
+    for lo in range(0, v.shape[1], 16):  # contiguous columns gather faster; no (D, B) copy
+        for j, col in enumerate(v[:, lo:lo + 16].T.copy(), lo):
+            np.multiply(w, np.take(col, rows, out=prod), out=prod)
+            out[:, j] = np.bincount(flat, weights=prod, minlength=n_rows)
     return out
 
 
@@ -490,14 +492,21 @@ def scale_rows(s, w):
 _NCE_BLOCK = 256
 
 
+def _unit_norm_grad(g, xn, norm):
+    """In place: d/d(x / norm) to d/dx by rows, (g - (g . xn) xn) / norm."""
+    g -= (g * xn).sum(axis=1, keepdims=True) * xn
+    g /= norm
+
+
 def info_nce(a, b, w, tau):
     """Weighted in-batch InfoNCE of paired rows a, b (N,d) with constant
     weights w (N,): sum_i w[i] * -log softmax(cos(a, b) / tau)[i, i].
 
     Per row panel: the scores, their row softmax p, its diagonal, and
     d loss / d cos = w[i] / tau * (p[i, j] - [i == j]) pushed through the
-    GEMMs. The input gradients are done in the forward pass; the backward
-    pass only scales them.
+    GEMMs, each panel's rows of a's gradient finished at once and its part
+    of b's through one reused (N, d) buffer. The input gradients are done
+    in the forward pass; the backward pass only scales them.
     """
     w = np.asarray(w, dtype=np.float64)
     if a.values.ndim != 2 or a.shape != b.shape or w.shape != a.shape[:1]:
@@ -509,7 +518,7 @@ def info_nce(a, b, w, tau):
         raise ValueError("info_nce: zero-norm embedding")
     an, bn = a.values / na, b.values / nb
     c, diag = w / tau, np.empty(a.shape[0])
-    gan, gbn = np.empty_like(an), np.zeros_like(bn)
+    ga, gb, panel = np.empty_like(an), np.zeros_like(bn), np.empty_like(bn)
     for lo in range(0, a.shape[0], _NCE_BLOCK):
         blk = slice(lo, lo + _NCE_BLOCK)
         p = an[blk] @ bn.T
@@ -521,12 +530,14 @@ def info_nce(a, b, w, tau):
         diag[blk] = p[rows, lo + rows]
         p *= c[blk, None]
         p[rows, lo + rows] -= c[blk]
-        np.matmul(p, bn, out=gan[blk])
-        gbn += p.T @ an[blk]
+        _unit_norm_grad(np.matmul(p, bn, out=ga[blk]), an[blk], na[blk])
+        gb += np.matmul(p.T, an[blk], out=panel)
+        del p  # before the next panel is built
     if np.any(diag <= 0):
         raise ValueError("info_nce: a diagonal probability underflows to 0")
-    ga = (gan - (gan * an).sum(axis=1, keepdims=True) * an) / na
-    gb = (gbn - (gbn * bn).sum(axis=1, keepdims=True) * bn) / nb
+    for lo in range(0, a.shape[0], _NCE_BLOCK):
+        blk = slice(lo, lo + _NCE_BLOCK)
+        _unit_norm_grad(gb[blk], bn[blk], nb[blk])
     sa, sb = a.slot, b.slot
 
     def bw(g):

@@ -216,11 +216,15 @@ class GateSidModel:
         """Gated fused attention over the history; returns the pooled
         (SID, item) vectors already through their rows of ``head.w1``. Each
         distinct history id in the batch, pad included, is embedded and
-        projected once; slots index those rows. The head's first layer is
-        linear in the pooled vectors, so pooling the projected rows equals
-        projecting the pooled vectors, and one pool serves both sequences."""
-        uniq, idx = np.unique(hist_ids, return_inverse=True)
-        idx = idx.reshape(hist_ids.shape)
+        projected once; slots index those rows (a presence table over ids,
+        not a sort). The head's first layer is linear in the pooled vectors,
+        so pooling the projected rows equals projecting the pooled vectors,
+        and one pool serves both sequences."""
+        if hist_ids.size and (hist_ids.min() < 0 or hist_ids.max() > self.n_items):
+            raise IndexError("forward: unknown history item id")
+        seen = np.zeros(self.n_items + 1, dtype=bool)
+        seen[hist_ids] = True
+        uniq, idx = np.flatnonzero(seen), np.cumsum(seen)[hist_ids] - 1
         h_item_rows = dk.gather_rows(self.params["item_emb"], uniq)
         h_sid_rows = self.sid_embed(self.sid_table[uniq])
         mask = hist_ids > 0
@@ -262,15 +266,16 @@ class GateSidModel:
         e_sid = self.sid_embed(self.sid_table[ids])
         e_user = dk.gather_rows(self.params["user_emb"], user_ids)
         w = self.gate_weight(e_item, pos, stats_norm)
-        pooled = self._pool_history(hist_ids, e_item, e_sid, pos, w)
 
         # head.w1's rows: pooled (SID, item) vectors, target (SID, item)
-        # embeddings, stats, user
+        # embeddings, stats, user. The (B, 128) pooled and per-impression
+        # parts and their sum are arguments only, so each dies once consumed.
         w1, d = self.params["head.w1"], self.cfg.d_item
-        per_impression = dk.linear([dk.constant(stats_norm), e_user], w1, self.params["head.b1"],
-                                   first_row=4 * d)
-        z1 = dk.relu(dk.add_rows(dk.add(pooled, per_impression),
-                                 dk.linear([e_sid, e_item], w1, first_row=2 * d), pos))
+        z1 = dk.relu(dk.add_rows(
+            dk.add(self._pool_history(hist_ids, e_item, e_sid, pos, w),
+                   dk.linear([dk.constant(stats_norm), e_user], w1, self.params["head.b1"],
+                             first_row=4 * d)),
+            dk.linear([e_sid, e_item], w1, first_row=2 * d), pos))
         z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
         logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
         return {

@@ -264,6 +264,17 @@ def test_forward_rejects_unknown_target():
         model.forward(batch)
 
 
+@pytest.mark.parametrize("bad", ["negative", "past_the_table"])
+def test_forward_rejects_unknown_history_id(bad):
+    # the history is deduplicated through a presence table over ids
+    # 0..n_items, where a negative id would wrap around
+    model = tiny_model()
+    batch = tiny_batch(model)
+    batch["hist_ids"][1, -1] = -1 if bad == "negative" else model.n_items + 1
+    with pytest.raises(IndexError, match="unknown history item id"):
+        model.forward(batch)
+
+
 def test_forward_gradients_reach_every_parameter():
     model = tiny_model()
     batch = tiny_batch(model)
