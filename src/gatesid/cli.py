@@ -167,8 +167,7 @@ def cmd_grad_check(rc):
     # the contrastive weights are a stop-gradient quantity; freeze them so
     # the checked loss is a pure function of the parameters
     w0 = model.forward(batch)["w"].values.copy()
-    report = dk.grad_check(lambda: model.loss(batch, contrast_w=w0)[0],
-                           model.trainable_params())
+    report = dk.grad_check(lambda: model.loss(batch, contrast_w=w0)[0], model.params)
     worst = max(report["max_rel_error"].values())
     if not report["passed"]:
         raise RuntimeError(f"gradient check failed for {report['failed']} "

@@ -211,31 +211,21 @@ def relu(x):
 # linear algebra
 
 
-def _accum_rows(slot, lo, g):
-    """``_accum`` of a gradient ``g`` of rows lo : lo + len(g) of the slot's
-    tensor; the other rows of a first gradient are zeros."""
-    if lo == 0 and g.shape == slot.shape:
-        _accum(slot, g)
-        return
-    if slot.grad is None:
-        slot.grad = np.zeros(slot.shape)
-    slot.grad[lo:lo + g.shape[0]] += g
-
-
-def linear(parts, w, b=None, first_row=0):
-    """(parts joined on the last axis) @ w[first_row : first_row + width] (+ b),
-    width being the parts' total last-axis width. A single Tensor is one part;
-    the parts have ndim >= 2 and one leading shape, w is 2-D, b is optional.
+def linear(parts, w, b=None):
+    """(parts joined on the last axis) @ w (+ b): part i multiplies its own
+    block of w's rows, in part order, and w has exactly as many rows as the
+    parts are wide together. A single Tensor is one part; the parts have
+    ndim >= 2 and one leading shape, w is 2-D, b is optional.
 
     One product per part, summed in part order, so the concatenation is never
-    built. Backward builds the weight gradient first, drops the parts' values
-    (often the largest arrays saved), then builds the input gradient of each
-    part that needs one. It writes only the window's rows of w's gradient.
+    built. Backward builds the weight gradient first, one array with one row
+    block written per part, drops the parts' values (often the largest arrays
+    saved), then builds the input gradient of each part that needs one.
     """
     parts = [parts] if isinstance(parts, Tensor) else list(parts)
-    offs = np.cumsum([first_row] + [p.shape[-1] for p in parts])
+    offs = np.cumsum([0] + [p.shape[-1] for p in parts])
     lead = parts[0].shape[:-1]
-    if (w.values.ndim != 2 or not lead or first_row < 0 or offs[-1] > w.shape[0]
+    if (w.values.ndim != 2 or not lead or offs[-1] != w.shape[0]
             or any(p.shape[:-1] != lead for p in parts)
             or (b is not None and b.shape != w.shape[1:])):
         raise ShapeError("linear", *[p.shape for p in parts], w.shape,
@@ -255,22 +245,17 @@ def linear(parts, w, b=None, first_row=0):
         if sb is not None:
             _accum(sb, g2.sum(axis=0))
         if sw.requires_grad:
-            for i, lo in enumerate(offs[:-1]):
-                _accum_rows(sw, lo, saved[i].reshape(-1, saved[i].shape[-1]).T @ g2)
+            gw = np.empty(sw.shape)
+            # by index: a loop name bound to a part would keep it past clear()
+            for i, (lo, hi) in enumerate(zip(offs, offs[1:])):
+                np.matmul(saved[i].reshape(-1, hi - lo).T, g2, out=gw[lo:hi])
+            _accum(sw, gw)
         saved.clear()
         for s, lo, hi in zip(slots, offs, offs[1:]):
             if s.requires_grad:
                 _accum(s, np.matmul(g, wv[lo:hi].T))
 
     return _make(out, parts + [w] + ([] if b is None else [b]), bw)
-
-
-def matmul(a, b):
-    """a @ b where b is 2-D and a has ndim >= 2: a one-part linear without
-    bias whose part spans all of b's rows."""
-    if b.values.ndim != 2 or a.values.ndim < 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    return linear(a, b)
 
 
 def reshape(x, shape):
@@ -506,7 +491,7 @@ def info_nce(a, b, w, tau):
     d loss / d cos = w[i] / tau * (p[i, j] - [i == j]) pushed through the
     GEMMs, each panel's rows of a's gradient finished at once and its part
     of b's through one reused (N, d) buffer. The input gradients are done
-    in the forward pass; the backward pass only scales them.
+    in the forward pass; the backward pass only scales them, in place.
     """
     w = np.asarray(w, dtype=np.float64)
     if a.values.ndim != 2 or a.shape != b.shape or w.shape != a.shape[:1]:
@@ -540,9 +525,9 @@ def info_nce(a, b, w, tau):
         _unit_norm_grad(gb[blk], bn[blk], nb[blk])
     sa, sb = a.slot, b.slot
 
-    def bw(g):
-        _accum(sa, g * ga)
-        _accum(sb, g * gb)
+    def bw(g):  # nothing else holds ga and gb: scaled in place, then adopted
+        _accum(sa, np.multiply(ga, g, out=ga))
+        _accum(sb, np.multiply(gb, g, out=gb))
 
     return _make(np.asarray(((0.0 - np.log(diag)) * w).sum()), (a, b), bw)
 

@@ -111,8 +111,19 @@ class GateSidModel:
         p["sid_emb"] = dk.Tensor(rng.normal(0.0, 0.05, size=(
             cfg.sid_levels * cfg.sid_codes, cfg.d_token)), requires_grad=True)
 
-        gate_in = self._gate_input_dim()
-        p["gate.w1"] = dk.glorot(rng, gate_in, cfg.gate_hidden)
+        def layer(rows, fan_out):
+            """One Glorot draw over the named input blocks' joined fan-in,
+            split by rows into one weight per block, in order."""
+            w = dk.glorot(rng, sum(rows.values()), fan_out).values
+            blocks = np.split(w, np.cumsum(list(rows.values()))[:-1])
+            p.update((k, dk.Tensor(b.copy(), requires_grad=True)) for k, b in zip(rows, blocks))
+
+        gate_in = {"gate.w1_item": cfg.d_item, "gate.w1_stats": cfg.n_stat}
+        if cfg.variant == "gate_item_only":
+            del gate_in["gate.w1_stats"]
+        elif cfg.variant == "gate_stats_only":
+            del gate_in["gate.w1_item"]
+        layer(gate_in, cfg.gate_hidden)
         p["gate.b1"] = bias(cfg.gate_hidden)
         p["gate.w2"] = dk.glorot(rng, cfg.gate_hidden, 1)
         p["gate.b2"] = bias(1)
@@ -129,35 +140,21 @@ class GateSidModel:
         p["attn.wq_item"].values *= g
         p["attn.wk_item"] = dk.Tensor(p["attn.wq_item"].values.copy(), requires_grad=True)
 
-        # pooled and target (SID, item) vectors, each d_item wide, stats, user
-        head_in = 4 * cfg.d_item + cfg.n_stat + cfg.d_user
-        p["head.w1"] = dk.glorot(rng, head_in, cfg.head_hidden1)
+        # pooled and target (SID, item) vectors, each pair 2 * d_item wide;
+        # the context: stats, user
+        layer({"head.w1_pool": 2 * cfg.d_item, "head.w1_target": 2 * cfg.d_item,
+               "head.w1_context": cfg.n_stat + cfg.d_user}, cfg.head_hidden1)
         p["head.b1"] = bias(cfg.head_hidden1)
         p["head.w2"] = dk.glorot(rng, cfg.head_hidden1, cfg.head_hidden2)
         p["head.b2"] = bias(cfg.head_hidden2)
         p["head.w3"] = dk.glorot(rng, cfg.head_hidden2, 2)
         p["head.b3"] = bias(2)
-        self.params = p
-
-    def _gate_input_dim(self):
-        if self.cfg.variant == "gate_item_only":
-            return self.cfg.d_item
-        if self.cfg.variant == "gate_stats_only":
-            return self.cfg.n_stat
-        return self.cfg.d_item + self.cfg.n_stat
-
-    def trainable_params(self):
-        """Parameters actually reached by gradients under the active variant."""
-        p = dict(self.params)
-        if self.cfg.variant == "no_gfsa":
-            p.pop("attn.wq_sid")
-            p.pop("attn.wk_sid")
-        if self.cfg.variant in ("no_gfsa", "avg_fusion"):
-            # without gated fusion the gate is the constant 0.5: the gate MLP never runs
-            for k in list(p):
-                if k.startswith("gate."):
-                    p.pop(k)
-        return p
+        # no_gfsa and avg_fusion draw full's arrays, so the ones they keep have
+        # full's init bits, then drop the ones they never read: without gated
+        # fusion nothing runs the gate, and no_gfsa runs no SID attention
+        dead = {"no_gfsa": ("gate.", "attn.wq_sid", "attn.wk_sid"),
+                "avg_fusion": ("gate.",)}.get(cfg.variant, ())
+        self.params = {k: t for k, t in p.items() if not k.startswith(dead)}
 
     # -- stat normalization ---------------------------------------------------
 
@@ -184,37 +181,35 @@ class GateSidModel:
 
     def gate_weight(self, e_item, pos, stats_norm):
         """Gate value per impression: impression i pairs row pos[i] of e_item
-        with row i of stats_norm. The e_item window of ``gate.w1`` is applied
-        once per row of e_item, the stats window and ``gate.b1`` once per
-        impression."""
+        with row i of stats_norm. ``gate.w1_item`` is applied once per row of
+        e_item, ``gate.w1_stats`` and ``gate.b1`` once per impression."""
         if not np.all(np.isfinite(stats_norm)):
             raise dk.NonFiniteError("gate_weight")
-        v = self.cfg.variant
+        p, v = self.params, self.cfg.variant
         if v in ("avg_fusion", "no_gfsa"):  # no gated fusion: nothing trains a gate
             return dk.constant(np.full((len(pos), 1), 0.5))
-        w1, b1 = self.params["gate.w1"], self.params["gate.b1"]
         if v == "gate_item_only":
-            pre = dk.gather_rows(dk.linear(e_item, w1, b1), pos)
+            pre = dk.gather_rows(dk.linear(e_item, p["gate.w1_item"], p["gate.b1"]), pos)
         elif v == "gate_stats_only":
-            pre = dk.linear(dk.constant(stats_norm), w1, b1)
-        else:  # gate.w1's rows: e_item, then stats
-            pre = dk.add_rows(dk.linear(dk.constant(stats_norm), w1, b1,
-                                        first_row=self.cfg.d_item), dk.linear(e_item, w1), pos)
-        return dk.sigmoid(dk.linear(dk.relu(pre), self.params["gate.w2"], self.params["gate.b2"]))
+            pre = dk.linear(dk.constant(stats_norm), p["gate.w1_stats"], p["gate.b1"])
+        else:
+            pre = dk.add_rows(dk.linear(dk.constant(stats_norm), p["gate.w1_stats"], p["gate.b1"]),
+                              dk.linear(e_item, p["gate.w1_item"]), pos)
+        return dk.sigmoid(dk.linear(dk.relu(pre), p["gate.w2"], p["gate.b2"]))
 
     def _attention(self, e_target, pos, rows, idx, wq, wk, mask):
         """Masked attention of each impression's target over its history.
         Impression b's query is row pos[b] of e_target projected, so each
         target row is projected once; its slot (b, l) holds row idx[b, l] of
         rows, and keys are projected once per row."""
-        q = dk.gather_rows(dk.matmul(e_target, self.params[wq]), pos)
-        keys = dk.matmul(rows, self.params[wk])
+        q = dk.gather_rows(dk.linear(e_target, self.params[wq]), pos)
+        keys = dk.linear(rows, self.params[wk])
         scores = dk.affine(dk.attention_scores(q, keys, idx), 1.0 / np.sqrt(self.cfg.attn_dim))
         return dk.row_softmax(scores, mask=mask)
 
     def _pool_history(self, hist_ids, e_item, e_sid, pos, w):
         """Gated fused attention over the history; returns the pooled
-        (SID, item) vectors already through their rows of ``head.w1``. Each
+        (SID, item) vectors already through ``head.w1_pool``. Each
         distinct history id in the batch, pad included, is embedded and
         projected once; slots index those rows (a presence table over ids,
         not a sort). The head's first layer is linear in the pooled vectors,
@@ -238,7 +233,7 @@ class GateSidModel:
                                     mask)
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
-        rows = dk.linear([h_sid_rows, h_item_rows], self.params["head.w1"])
+        rows = dk.linear([h_sid_rows, h_item_rows], self.params["head.w1_pool"])
         return dk.attention_pool(s_fused, rows, idx)
 
     # -- forward ---------------------------------------------------------------
@@ -249,8 +244,8 @@ class GateSidModel:
         and the gate weight w, one row per impression, and the target
         embeddings e_sid and e_item, one row per distinct target in order of
         first occurrence; plus ``first``, each such target's first impression.
-        Each distinct target goes through the target windows of ``gate.w1``,
-        ``attn.wq_*`` and ``head.w1`` once; impression i reads row pos[i]."""
+        Each distinct target goes through ``gate.w1_item``, ``attn.wq_*`` and
+        ``head.w1_target`` once; impression i reads row pos[i]."""
         target_ids = np.asarray(batch["target_ids"])
         hist_ids = np.asarray(batch["hist_ids"])
         user_ids = np.asarray(batch["user_ids"])
@@ -267,17 +262,18 @@ class GateSidModel:
         e_user = dk.gather_rows(self.params["user_emb"], user_ids)
         w = self.gate_weight(e_item, pos, stats_norm)
 
-        # head.w1's rows: pooled (SID, item) vectors, target (SID, item)
-        # embeddings, stats, user. The (B, 128) pooled and per-impression
-        # parts and their sum are arguments only, so each dies once consumed.
-        w1, d = self.params["head.w1"], self.cfg.d_item
+        # the head's first layer: the pooled (SID, item) vectors, the target
+        # (SID, item) embeddings and the context (stats, user). The (B, 128)
+        # pooled and per-impression parts and their sum are arguments only,
+        # so each dies once consumed.
+        p = self.params
         z1 = dk.relu(dk.add_rows(
             dk.add(self._pool_history(hist_ids, e_item, e_sid, pos, w),
-                   dk.linear([dk.constant(stats_norm), e_user], w1, self.params["head.b1"],
-                             first_row=4 * d)),
-            dk.linear([e_sid, e_item], w1, first_row=2 * d), pos))
-        z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
-        logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
+                   dk.linear([dk.constant(stats_norm), e_user], p["head.w1_context"],
+                             p["head.b1"])),
+            dk.linear([e_sid, e_item], p["head.w1_target"]), pos))
+        z2 = dk.relu(dk.linear(z1, p["head.w2"], p["head.b2"]))
+        logits = dk.linear(z2, p["head.w3"], p["head.b3"])
         return {
             "ctr_logit": dk.take_column(logits, 0),
             "ctcvr_logit": dk.take_column(logits, 1),

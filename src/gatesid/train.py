@@ -58,7 +58,7 @@ def train_model(corpus, sid_table, model_config, seed=0, train_config=None, toke
     train_idx, _ = time_split(corpus, tc.test_frac)
     model.fit_stat_norm(stats_raw[train_idx])
 
-    opt = dk.AdamW(model.trainable_params(), lr=tc.lr, weight_decay=tc.weight_decay)
+    opt = dk.AdamW(model.params, lr=tc.lr, weight_decay=tc.weight_decay)
     curve = []
     for epoch in range(tc.epochs):
         order = train_idx[np.random.default_rng([seed, 7000 + epoch]).permutation(train_idx.size)]

@@ -11,6 +11,7 @@ import pytest
 import gatesid.diffkernel as dk
 import oracle_ops
 from gatesid.diffkernel import tensor
+from gatesid.diffkernel.checkpoint import atomic_write_text
 from gatesid.diffkernel.optim import _STEP_BLOCK
 from gatesid.diffkernel.tensor import _NCE_BLOCK
 from gatesid.model import GateSidModel, ModelConfig
@@ -115,67 +116,65 @@ def test_shape_mismatch_rejected():
 # linear algebra / indexing ops
 
 
+# a matrix product is linear's one-part call without bias
+
+
 def test_matmul_grads():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4, 2))
     c = RNG.normal(size=(2, 3, 4))
-    fd_check(lambda x, y: tsum(dk.matmul(x, y)), [a, b])
-    fd_check(lambda x, y: tsum(dk.matmul(x, y)), [c, b])
+    fd_check(lambda x, y: tsum(dk.linear(x, y)), [a, b])
+    fd_check(lambda x, y: tsum(dk.linear(x, y)), [c, b])
 
 
 def test_matmul_shape_error():
     with pytest.raises(dk.ShapeError):
-        dk.matmul(dk.constant(np.zeros((2, 3))), dk.constant(np.zeros((2, 3))))
+        dk.linear(dk.constant(np.zeros((2, 3))), dk.constant(np.zeros((2, 3))))
 
 
-def _linear_run(fn, parts, w, b, g, constant_part=None):
-    """Output and the gradients of the parts, w and b of fn(parts, w, b)."""
+def _linear_run(fn, parts, ws, b, g, constant_part=None):
+    """Output and the gradients of the parts, the weights ws and b of fn(parts, ws, b)."""
     leaves = [dk.constant(p) if i == constant_part else dk.Tensor(p, requires_grad=True)
               for i, p in enumerate(parts)]
-    wt, bt = dk.Tensor(w, requires_grad=True), dk.Tensor(b, requires_grad=True)
+    wts, bt = [dk.Tensor(w, requires_grad=True) for w in ws], dk.Tensor(b, requires_grad=True)
     with dk.Tape() as tape:
-        y = fn(leaves, wt, bt)
+        y = fn(leaves, wts, bt)
         dk.backward(tsum(mul(y, dk.constant(g))), tape)
-    return y.values, [t.grad for t in leaves + [wt, bt]]
+    return y.values, [t.grad for t in leaves + wts + [bt]]
 
 
-# (first_row, rows of w after the window, constant part, two windows)
-LINEAR_CASES = {"plain": (0, 0, None, False), "constant-part": (0, 0, 1, False),
-                "first-row": (2, 3, None, False), "first-row-constant": (4, 0, 0, False),
-                "two-windows": (1, 2, None, True)}
+# (constant part, two weights)
+LINEAR_CASES = {"plain": (None, False), "constant-part": (1, False),
+                "constant-first-part": (0, False), "two-weights": (None, True)}
 
 
 @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
 def test_linear_parts_match_linear_of_concat(case):
-    first_row, extra, constant_part, split = LINEAR_CASES[case]
+    constant_part, split = LINEAR_CASES[case]
     rng = np.random.default_rng(len(case))
     parts = [rng.normal(size=(5, k)) for k in (3, 1, 4)]
-    w = rng.normal(size=(first_row + 8 + extra, 6))
+    w = rng.normal(size=(8, 6))
+    ws = [w[:3], w[3:]] if split else [w]  # the rows of the first part, of the rest
     b, g = rng.normal(size=6), rng.normal(size=(5, 6))
 
-    def by_parts(ps, wt, bt):
+    def by_parts(ps, wts, bt):
         if not split:
-            return dk.linear(ps, wt, bt, first_row=first_row)
-        # the model's split of one weight: the first part's rows, then the rest
-        return dk.add(dk.linear(ps[:1], wt, first_row=first_row),
-                      dk.linear(ps[1:], wt, bt, first_row=first_row + 3))
+            return dk.linear(ps, wts[0], bt)
+        # the model's split of one layer: a weight per input block
+        return dk.add(dk.linear(ps[:1], wts[0]), dk.linear(ps[1:], wts[1], bt))
 
-    got, grads = _linear_run(by_parts, parts, w, b, g, constant_part)
-    want, want_grads = _linear_run(
-        lambda ps, wt, bt: dk.linear(concat(ps), wt, bt, first_row=first_row),
-        parts, w, b, g, constant_part)
+    got, grads = _linear_run(by_parts, parts, ws, b, g, constant_part)
+    want, want_grads = _linear_run(lambda ps, wts, bt: dk.linear(concat(ps), wts[0], bt),
+                                   parts, [w], b, g, constant_part)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    grads[len(parts):-1] = [np.concatenate(grads[len(parts):-1])]  # w's rows, in order
     for i, (a, e) in enumerate(zip(grads, want_grads)):
         if i == constant_part:
             assert a is None and e is None
         else:
             np.testing.assert_allclose(a, e, rtol=0, atol=1e-12, err_msg=str(i))
-    gw = grads[len(parts)]
-    outside = np.ones(w.shape[0], dtype=bool)
-    outside[first_row:first_row + 8] = False
-    assert np.all(gw[outside] == 0.0) and not np.signbit(gw[outside]).any()
-    fd_check(lambda *ts: tsum(dk.square(by_parts(list(ts[:3]), *ts[3:]))),
-             parts + [w, b])
+    fd_check(lambda *ts: tsum(dk.square(by_parts(list(ts[:3]), list(ts[3:-1]), ts[-1]))),
+             parts + ws + [b])
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
@@ -184,11 +183,8 @@ def test_linear_one_part_is_bitwise_add_bias_of_matmul(shape):
     x, w, b = rng.normal(size=shape), rng.normal(size=(4, 3)), rng.normal(size=3)
     g = rng.normal(size=shape[:-1] + (3,))
     g.flat[::4] = -0.0
-    got, grads = _linear_run(lambda ps, wt, bt: dk.linear(ps[0], wt, bt), [x], w, b, g)
-    want, want_grads = _linear_run(lambda ps, wt, bt: add_bias(dk.matmul(ps[0], wt), bt),
-                                   [x], w, b, g)
-    assert same_bits(got, want) and all(map(same_bits, grads, want_grads))
-    # and the operations of a matmul op followed by an add_bias op, in numpy:
+    got, grads = _linear_run(lambda ps, wts, bt: dk.linear(ps[0], wts[0], bt), [x], [w], b, g)
+    # the operations of a matmul op followed by an add_bias op, in numpy:
     # add_bias hands matmul its gradient after a first accumulation (+ 0.0)
     g2 = (g * 1.0 + 0.0).reshape(-1, 3)
     assert same_bits(got, np.matmul(x, w) + b)
@@ -199,15 +195,22 @@ def test_linear_one_part_is_bitwise_add_bias_of_matmul(shape):
 
 def test_linear_shape_errors():
     x, w, b = dk.constant(np.zeros((2, 3))), dk.constant(np.zeros((5, 4))), dk.constant(np.zeros(4))
-    for kw in ({"first_row": 3}, {"first_row": -1}):
-        with pytest.raises(dk.ShapeError):  # the parts overrun w, or start before it
-            dk.linear([x, x], w, b, **kw)
     with pytest.raises(dk.ShapeError):
-        dk.linear([x, dk.constant(np.zeros((3, 1)))], w, b)
+        dk.linear([x, dk.constant(np.zeros((3, 2)))], w, b)
     with pytest.raises(dk.ShapeError):
-        dk.linear([x], w, dk.constant(np.zeros(5)))
+        dk.linear([x, dk.constant(np.zeros((2, 2)))], w, dk.constant(np.zeros(5)))
     with pytest.raises(dk.ShapeError):
-        dk.linear([dk.constant(np.zeros(3))], w)
+        dk.linear([dk.constant(np.zeros(5))], w)
+
+
+@pytest.mark.parametrize("widths", [(3,), (6,), (3, 1), (4, 2)], ids=[
+    "one-part-narrower", "one-part-wider", "two-parts-narrower", "two-parts-wider"])
+def test_linear_rejects_a_weight_whose_rows_are_not_the_parts_width(widths):
+    # w (5, 4) has one row per input column: parts narrower or wider than
+    # that, one part or several, are a ShapeError, not a window of w's rows
+    w, b = dk.Tensor(np.zeros((5, 4)), requires_grad=True), dk.constant(np.zeros(4))
+    with pytest.raises(dk.ShapeError):
+        dk.linear([dk.Tensor(np.zeros((2, k)), requires_grad=True) for k in widths], w, b)
 
 
 def test_linear_builds_no_gradient_for_a_constant_part():
@@ -218,7 +221,7 @@ def test_linear_builds_no_gradient_for_a_constant_part():
     x = dk.constant(rng.normal(size=(n, d)))
     z = dk.Tensor(rng.normal(size=(n, 1)), requires_grad=True)
     w, w2 = (dk.Tensor(rng.normal(size=(r, k)), requires_grad=True) for r in (d, d + 1))
-    for op, leaves in ((lambda: dk.matmul(x, w), [w]), (lambda: dk.linear([x, z], w2), [w2, z])):
+    for op, leaves in ((lambda: dk.linear(x, w), [w]), (lambda: dk.linear([x, z], w2), [w2, z])):
         with dk.Tape() as tape:
             loss = dk.tmean(op())
             tracemalloc.start()
@@ -696,7 +699,7 @@ def test_second_backward_on_a_consumed_tape_raises():
     x = dk.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     w = dk.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     with dk.Tape() as tape:
-        loss = tsum(dk.square(dk.matmul(x, w)))
+        loss = tsum(dk.square(dk.linear(x, w)))
         dk.backward(loss, tape)
         grads = [x.grad, w.grad]
         kept = [g.copy() for g in grads]
@@ -714,7 +717,7 @@ def test_backward_consumes_the_tape_in_place(monkeypatch):
     w = dk.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     outputs = _record_outputs(monkeypatch)
     with dk.Tape() as tape:
-        h = dk.relu(add_bias(dk.matmul(dk.affine(x, 2.0), w), dk.constant(np.ones(2))))
+        h = dk.relu(add_bias(dk.linear(dk.affine(x, 2.0), w), dk.constant(np.ones(2))))
         loss = tsum(mul(h, dk.constant(rng.normal(size=(6, 2)))))
         slots = [slot for slot, _ in tape._ops]
         dk.backward(loss, tape)
@@ -723,7 +726,7 @@ def test_backward_consumes_the_tape_in_place(monkeypatch):
 
 
 def test_matmul_backward_frees_its_input_before_the_input_gradient():
-    # h is held by matmul's closure alone; its bytes are gone before the
+    # h is held by linear's closure alone; its bytes are gone before the
     # (n, d) gradient of h is built, so h and that gradient never coexist
     rng = np.random.default_rng(5)
     n, d, k = 2048, 256, 4
@@ -734,7 +737,7 @@ def test_matmul_backward_frees_its_input_before_the_input_gradient():
         base = tracemalloc.get_traced_memory()[0]
         with dk.Tape() as tape:
             h = concat(parts)
-            loss = dk.tmean(dk.matmul(h, w))
+            loss = dk.tmean(dk.linear(h, w))
             del h
             dk.backward(loss, tape)
         peak = tracemalloc.get_traced_memory()[1] - base
@@ -747,7 +750,7 @@ def test_matmul_backward_frees_its_input_before_the_input_gradient():
 
 def test_tape_frees_op_outputs_that_no_backward_reads():
     # with the tape alive: dropping an op output that no backward reads frees
-    # its bytes, a matmul input stays for matmul's backward, and the
+    # its bytes, a linear input stays for linear's backward, and the
     # gradients keep their bits
     rng = np.random.default_rng(11)
     arrays = rng.normal(size=(512, 64)), rng.normal(size=(64, 256)), rng.normal(size=256)
@@ -759,7 +762,7 @@ def test_tape_frees_op_outputs_that_no_backward_reads():
         try:
             with dk.Tape() as tape:
                 h = dk.affine(x, 2.0)
-                u = dk.matmul(h, w)  # add_bias's backward keeps nothing of it
+                u = dk.linear(h, w)  # add_bias's backward keeps nothing of it
                 loss = tsum(mul(dk.relu(add_bias(u, b)), c))
                 kept, freed = weakref.ref(h.values), weakref.ref(u.values)
                 live = tracemalloc.get_traced_memory()[0]
@@ -787,7 +790,8 @@ def _history_table_loss(t, q):
 
 # case -> (leaf shapes, loss over the leaves); "add-of-the-seed" hands the
 # loss's own seed gradient to add, "table" reaches one leaf by three ops,
-# "linear-windows" writes one weight's rows from two calls
+# "linear-two-calls" writes one weight's gradient from two calls, each a row
+# block per part
 OWNERSHIP_CASES = {
     "add": ([(3, 4), (3, 4)], lambda a, b: _weighted_sum(dk.add(a, b))),
     "add-of-the-seed": ([(), ()], dk.add),
@@ -796,10 +800,10 @@ OWNERSHIP_CASES = {
                  lambda x, t: _weighted_sum(dk.add_rows(x, t, np.array([1, 0, 1])))),
     "concat-parts": ([(3, 2), (3, 5)], lambda u, v: _weighted_sum(concat([u, v]))),
     "two-paths": ([(3, 4), (4, 2)],
-                  lambda x, w: _weighted_sum(concat([x, dk.matmul(x, w)]))),
+                  lambda x, w: _weighted_sum(concat([x, dk.linear(x, w)]))),
     "table": ([(6, 4), (3, 4)], _history_table_loss),
-    "linear-windows": ([(3, 2), (3, 3), (6, 4)], lambda x, y, w: _weighted_sum(
-        dk.add(dk.linear(x, w, first_row=1), dk.linear([x, y], w, first_row=1)))),
+    "linear-two-calls": ([(3, 2), (3, 3), (5, 4)], lambda x, y, w: _weighted_sum(
+        dk.add(dk.linear([y, x], w), dk.linear([x, y], w)))),
 }
 
 
@@ -995,7 +999,7 @@ def ref_batch_step_memory():
     it), the step's tape and the number of its closures that held a Tensor
     before backward consumed them. CI's size summary prints the byte figures."""
     model, batch = _ref_batch_step_case()
-    opt = dk.AdamW(model.trainable_params(), lr=5e-3, weight_decay=1e-5)
+    opt = dk.AdamW(model.params, lr=5e-3, weight_decay=1e-5)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -1088,7 +1092,7 @@ def test_load_arrays_truncated_file(tmp_path):
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "out.txt")
-    dk.atomic_write_text(path, "hello\n")
+    atomic_write_text(path, "hello\n")
     with open(path) as f:
         assert f.read() == "hello\n"
     assert sorted(os.listdir(tmp_path)) == ["out.txt"]

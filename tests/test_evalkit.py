@@ -266,7 +266,7 @@ def test_gate_curve_flat_half_for_zero_gate(small_corpus, small_sid_table):
                       attn_dim=4, gate_hidden=4, head_hidden1=16, head_hidden2=8)
     model = GateSidModel(small_corpus.n_items, small_corpus.n_users,
                          small_sid_table, cfg, seed=0)
-    for k in ("gate.w1", "gate.b1", "gate.w2", "gate.b2"):
+    for k in ("gate.w1_item", "gate.w1_stats", "gate.b1", "gate.w2", "gate.b2"):
         model.params[k].values[...] = 0.0
     curve = evalkit.gate_age_curve(small_corpus, model)
     for row in curve:

@@ -108,7 +108,7 @@ def test_sid_embed_rejects_codes_outside_the_level():
 
 def test_gate_zero_weights_gives_half():
     model = tiny_model()
-    for k in ("gate.w1", "gate.b1", "gate.w2", "gate.b2"):
+    for k in ("gate.w1_item", "gate.w1_stats", "gate.b1", "gate.w2", "gate.b2"):
         model.params[k].values[...] = 0.0
     e = dk.constant(np.random.default_rng(0).normal(size=(5, 12)))
     w = model.gate_weight(e, np.arange(5), np.zeros((5, 3)))
@@ -130,9 +130,14 @@ def test_gate_rejects_nonfinite_stats():
 
 
 def test_gate_input_variants():
-    assert tiny_model("gate_item_only")._gate_input_dim() == 12
-    assert tiny_model("gate_stats_only")._gate_input_dim() == 3
-    assert tiny_model()._gate_input_dim() == 15
+    # one first-layer weight per gate input, and only the inputs the variant reads
+    def blocks(variant):
+        return {k: p.shape for k, p in tiny_model(variant).params.items()
+                if k.startswith("gate.w1")}
+
+    assert blocks("gate_item_only") == {"gate.w1_item": (12, 4)}
+    assert blocks("gate_stats_only") == {"gate.w1_stats": (3, 4)}
+    assert blocks("full") == {"gate.w1_item": (12, 4), "gate.w1_stats": (3, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +280,16 @@ def test_forward_rejects_unknown_history_id(bad):
         model.forward(batch)
 
 
-def test_forward_gradients_reach_every_parameter():
-    model = tiny_model()
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_gradients_reach_every_parameter(variant):
+    # a variant holds exactly the parameters its loss reads
+    model = tiny_model(variant)
     batch = tiny_batch(model)
     batch["hist_ids"][:] = np.array([[0, 1, 2, 3, 4]] * 4)
     with dk.Tape() as tape:
         loss, _ = model.loss(batch)
         dk.backward(loss, tape)
-    for name, p in model.trainable_params().items():
+    for name, p in model.params.items():
         assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
 
@@ -291,7 +298,7 @@ def test_pad_row_stays_zero_through_training(variant):
     # only masked history slots read item_emb's pad row, so its gradient is
     # exactly +0.0 and AdamW (weight decay included) leaves the row at +0.0
     model = tiny_model(variant)
-    opt = dk.AdamW(model.trainable_params(), lr=5e-3, weight_decay=1e-5)
+    opt = dk.AdamW(model.params, lr=5e-3, weight_decay=1e-5)
     for seed in range(3):
         batch = tiny_batch(model, seed=seed)
         if seed == 2:
@@ -333,14 +340,26 @@ def slot_pool(s, h):
     return _make(np.einsum("bl,bld->bd", s.values, h.values), (s, h), bw)
 
 
+def join_rows(ws):
+    """The weights' rows joined in order into one weight."""
+    offs = np.cumsum([0] + [w.shape[0] for w in ws])
+    slots = [w.slot for w in ws]
+
+    def bw(g):
+        for s, lo, hi in zip(slots, offs, offs[1:]):
+            _accum(s, g[lo:hi])
+
+    return _make(np.concatenate([w.values for w in ws]), ws, bw)
+
+
 class PerSlotModel(GateSidModel):
     """Oracle: every impression gathers its own target rows and projects
-    them through the target windows of gate.w1 (gate_weight with one row
-    per impression), attn.wq_* and head.w1; InfoNCE reads each item's first
-    impression. Every history slot gathers its own item
-    and SID rows, concatenates its SID rows and projects its own keys; both
-    sequences are pooled, and then the pooled pair goes through head.w1's
-    first 2 * d_item rows."""
+    them through gate.w1_item (gate_weight with one row per impression) and
+    attn.wq_*, and its target, stats and user inputs through one head weight,
+    head.w1_target and head.w1_context joined; InfoNCE reads each item's
+    first impression. Every history slot gathers its own item and SID rows,
+    concatenates its SID rows and projects its own keys; both sequences are
+    pooled, and then the concatenated pooled pair goes through head.w1_pool."""
 
     def forward(self, batch):
         target_ids = np.asarray(batch["target_ids"])
@@ -351,9 +370,9 @@ class PerSlotModel(GateSidModel):
         every = np.arange(target_ids.size)
         w = self.gate_weight(e_item, every, stats.values)
         pooled = self._pool_history(np.asarray(batch["hist_ids"]), e_item, e_sid, every, w)
-        z1 = dk.relu(dk.add(pooled, dk.linear(
-            [e_sid, e_item, stats, e_user], self.params["head.w1"], self.params["head.b1"],
-            first_row=2 * self.cfg.d_item)))
+        w1 = join_rows([self.params["head.w1_target"], self.params["head.w1_context"]])
+        z1 = dk.relu(dk.add(pooled, dk.linear(concat([e_sid, e_item, stats, e_user]), w1,
+                                              self.params["head.b1"])))
         z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
         logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
         first = np.sort(np.unique(target_ids, return_index=True)[1])
@@ -367,8 +386,8 @@ class PerSlotModel(GateSidModel):
         mask = hist_ids > 0
 
         def attention(e_target, seq, wq, wk):
-            q = dk.matmul(dk.gather_rows(e_target, pos), self.params[wq])
-            k = dk.matmul(seq, self.params[wk])
+            q = dk.linear(dk.gather_rows(e_target, pos), self.params[wq])
+            k = dk.linear(seq, self.params[wk])
             scores = dk.affine(slot_scores(q, k), 1.0 / np.sqrt(self.cfg.attn_dim))
             return dk.row_softmax(scores, mask=mask)
 
@@ -380,7 +399,7 @@ class PerSlotModel(GateSidModel):
             s_fused = dk.add(dk.scale_rows(s_sid, w),
                              dk.scale_rows(s_item, dk.affine(w, -1.0, 1.0)))
         pooled = concat([slot_pool(s_fused, h_sid_seq), slot_pool(s_fused, h_item_seq)])
-        return dk.linear(pooled, self.params["head.w1"])
+        return dk.linear(pooled, self.params["head.w1_pool"])
 
 
 def loss_and_grads(model, batch):
@@ -413,14 +432,14 @@ def test_dedup_history_matches_per_slot_oracle(variant):
     assert np.array_equal(out["first"], want_out["first"])
     for k in ("ctr_logit", "ctcvr_logit", "w", "e_sid", "e_item"):
         np.testing.assert_allclose(out[k].values, want_out[k].values, rtol=0, atol=1e-12)
-    for k in model.trainable_params():
+    for k in model.params:
         assert want_grads[k] is not None, k
         np.testing.assert_allclose(grads[k], want_grads[k], rtol=0, atol=1e-12, err_msg=k)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_pools_the_history_once(variant, monkeypatch):
-    # one pool of the distinct history rows projected through head.w1
+    # one pool of the distinct history rows projected through head.w1_pool
     calls, pool = [], dk.attention_pool
     monkeypatch.setattr(dk, "attention_pool", lambda s, rows, idx: calls.append(rows.shape)
                         or pool(s, rows, idx))
@@ -459,14 +478,27 @@ def test_no_gfsa_uses_item_attention_only():
 
 
 def test_trainable_params_per_variant():
-    full = set(tiny_model("full").trainable_params())
-    no_gfsa = set(tiny_model("no_gfsa").trainable_params())
-    avg = set(tiny_model("avg_fusion").trainable_params())
-    assert {"attn.wq_sid", "attn.wk_sid", "gate.w1", "gate.b2"} <= full
+    full = set(tiny_model("full").params)
+    no_gfsa = set(tiny_model("no_gfsa").params)
+    avg = set(tiny_model("avg_fusion").params)
+    assert {"attn.wq_sid", "attn.wk_sid", "gate.w1_item", "gate.w1_stats", "gate.b2"} <= full
     assert not {"attn.wq_sid", "attn.wk_sid"} & no_gfsa
     assert not {k for k in no_gfsa if k.startswith("gate.")}
     assert not {k for k in avg if k.startswith("gate.")}
     assert "attn.wq_sid" in avg
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_arrays_have_full_init_bits(variant):
+    # no_grca, no_gfsa and avg_fusion draw full's arrays in full's order and
+    # keep some: each kept array has full's bits. The gate-input variants
+    # draw their gate's first layer over their own fan-in, so of their
+    # arrays only the embeddings, drawn before it, are full's.
+    full, model = tiny_model("full").params, tiny_model(variant).params
+    assert set(model) <= set(full)
+    own_gate = variant in ("gate_item_only", "gate_stats_only")
+    for k in [k for k in model if k.endswith("_emb")] if own_gate else model:
+        assert same_bits(model[k].values, full[k].values), k
 
 
 def test_no_grca_has_no_alignment_loss():
