@@ -116,20 +116,14 @@ def cmd_ablate(rc):
     dk.write_json(rc.ablation_json, {"summary": summary, "cells": {
         f"{variant}:{seed}": rep for (variant, seed), rep in cells.items()}})
     evalkit.write_ablation_csv(rc.ablation_csv, summary)
+    failed = [f"{v}:{s}: {rep.removeprefix('error: ')}"
+              for (v, s), rep in cells.items() if isinstance(rep, str)]
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {len(cells)} ablation cells failed; "
+                           f"first {failed[0]}")
     return {"command": "ablate", "ablation_json": rc.ablation_json,
             "ablation_csv": rc.ablation_csv,
             "variants": variants, "seeds": seeds}
-
-
-def cmd_gate_curve(rc):
-    corpus = _load_corpus(rc)
-    model = GateSidModel.load(rc.model_path)
-    curve = evalkit.gate_age_curve(corpus, model)
-    evalkit.write_gate_curve_csv(rc.gate_curve_csv, curve)
-    means = [r["mean_w"] for r in curve if r["mean_w"] is not None]
-    return {"command": "gate-curve", "gate_curve_csv": rc.gate_curve_csv,
-            "first_bin_w": means[0] if means else None,
-            "last_bin_w": means[-1] if means else None}
 
 
 def cmd_export_emb(rc):
@@ -183,7 +177,6 @@ COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "ablate": cmd_ablate,
-    "gate-curve": cmd_gate_curve,
     "export-emb": cmd_export_emb,
     "grad-check": cmd_grad_check,
 }

@@ -62,7 +62,6 @@ class RunConfig(dataclasses.make_dataclass("ModuleKeys", _module_keys())):
     report_path: str = "artifacts/report.json"
     ablation_json: str = "artifacts/ablation.json"
     ablation_csv: str = "artifacts/ablation.csv"
-    gate_curve_csv: str = "artifacts/gate_curve.csv"
     emb_sid_csv: str = "artifacts/emb_sid.csv"
     emb_item_csv: str = "artifacts/emb_item.csv"
 
@@ -161,8 +160,12 @@ def train_config(rc):
 
 def ablation_grid(rc):
     """The ablation's variants and seeds, from the comma lists ablate_variants
-    and ablate_seeds. An unknown variant, there or in ``variant``, or a seed
-    that is not an integer is a ConfigError naming the key and the entry."""
+    and ablate_seeds. An empty list, an unknown variant, there or in
+    ``variant``, or a seed that is not an integer is a ConfigError naming the
+    key and the entry."""
+    for key in ("ablate_variants", "ablate_seeds"):
+        if not getattr(rc, key).replace(",", "").strip():
+            raise ConfigError(f"config key '{key}': empty list")
     variants = [v.strip() for v in rc.ablate_variants.split(",") if v.strip()]
     for key, v in [("variant", rc.variant)] + [("ablate_variants", v) for v in variants]:
         if v not in VARIANTS:

@@ -1,5 +1,5 @@
-"""Ranking metrics, maturity-bucketed reports, alignment diagnostics and the
-ablation harness."""
+"""Ranking metrics, maturity-bucketed reports (with the gate-age curve),
+alignment diagnostics and the ablation harness."""
 
 import dataclasses
 import logging
@@ -84,11 +84,31 @@ def alignment_score(e_sid, e_item):
 # reports
 
 
+def gate_age_curve(corpus, model):
+    """Mean gate weight per item-age bin; the edges are sorted and distinct,
+    so the bins partition the age range whatever the maturity thresholds."""
+    cfg = corpus.config
+    bins = sorted({0, cfg.new_age_days, 60, 150, cfg.popular_age_days, cfg.max_age_days + 1})
+    stats = synthcorpus.item_stat_features(corpus)
+    w = model.item_gate_weights(stats)
+    ages = corpus.item_age
+    curve = []
+    for lo, hi in zip(bins[:-1], bins[1:]):
+        sel = (ages >= lo) & (ages < hi)
+        curve.append({
+            "age_lo": int(lo),
+            "age_hi": int(hi),
+            "n": int(sel.sum()),
+            "mean_w": float(w[sel].mean()) if sel.any() else None,
+        })
+    return curve
+
+
 def evaluate_model(corpus, model, test_frac):
     """Bucketed AUC/GAUC on the ``train.time_split`` test split plus gate and
     alignment diagnostics, as a report dict: "metrics" (task -> bucket ->
-    auc, gauc, n), "gate" (bucket -> mean and deciles of w), "alignment"
-    and "counts"."""
+    auc, gauc, n), "gate" (bucket -> mean and deciles of w, and "age_curve",
+    the ``gate_age_curve`` of every item), "alignment" and "counts"."""
     stats_raw = synthcorpus.impression_stat_features(corpus)
     _, idx = train.time_split(corpus, test_frac)
     batch = train.make_batch(corpus, stats_raw, idx)
@@ -118,6 +138,7 @@ def evaluate_model(corpus, model, test_frac):
                 "mean": float(w.mean()),
                 "deciles": [float(v) for v in np.percentile(w, np.arange(10, 100, 10))],
             }
+    report["gate"]["age_curve"] = gate_age_curve(corpus, model)
 
     e_sid, e_item = model.item_embeddings()
     score, used, skipped = alignment_score(e_sid, e_item)
@@ -174,41 +195,8 @@ def aggregate_ablation(cells, variants, seeds):
     return summary
 
 
-def _cells(values):
-    """CSV fields of numbers that may be None: repr, or empty for None."""
-    return ["" if v is None else repr(v) for v in values]
-
-
 def write_ablation_csv(path, summary):
+    """One row per variant: each mean as repr prints it, or empty if missing."""
     cols = ["ctr_auc", "ctr_gauc", "ctcvr_auc", "ctcvr_gauc"]
     write_csv(path, ["variant", *cols], list(summary),
-              *(_cells(vals.get(c) for vals in summary.values()) for c in cols))
-
-
-# ---------------------------------------------------------------------------
-# gate-age curve
-
-
-def gate_age_curve(corpus, model):
-    """Mean gate weight per item-age bin; the edges are sorted and distinct,
-    so the bins partition the age range whatever the maturity thresholds."""
-    cfg = corpus.config
-    bins = sorted({0, cfg.new_age_days, 60, 150, cfg.popular_age_days, cfg.max_age_days + 1})
-    stats = synthcorpus.item_stat_features(corpus)
-    w = model.item_gate_weights(stats)
-    ages = corpus.item_age
-    curve = []
-    for lo, hi in zip(bins[:-1], bins[1:]):
-        sel = (ages >= lo) & (ages < hi)
-        curve.append({
-            "age_lo": int(lo),
-            "age_hi": int(hi),
-            "n": int(sel.sum()),
-            "mean_w": float(w[sel].mean()) if sel.any() else None,
-        })
-    return curve
-
-
-def write_gate_curve_csv(path, curve):
-    cols = ["age_lo", "age_hi", "n", "mean_w"]
-    write_csv(path, cols, *(_cells(row[c] for row in curve) for c in cols))
+              *([repr(vals[c]) if c in vals else "" for vals in summary.values()] for c in cols))

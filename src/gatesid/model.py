@@ -118,12 +118,7 @@ class GateSidModel:
             blocks = np.split(w, np.cumsum(list(rows.values()))[:-1])
             p.update((k, dk.Tensor(b.copy(), requires_grad=True)) for k, b in zip(rows, blocks))
 
-        gate_in = {"gate.w1_item": cfg.d_item, "gate.w1_stats": cfg.n_stat}
-        if cfg.variant == "gate_item_only":
-            del gate_in["gate.w1_stats"]
-        elif cfg.variant == "gate_stats_only":
-            del gate_in["gate.w1_item"]
-        layer(gate_in, cfg.gate_hidden)
+        layer({"gate.w1_item": cfg.d_item, "gate.w1_stats": cfg.n_stat}, cfg.gate_hidden)
         p["gate.b1"] = bias(cfg.gate_hidden)
         p["gate.w2"] = dk.glorot(rng, cfg.gate_hidden, 1)
         p["gate.b2"] = bias(1)
@@ -149,11 +144,14 @@ class GateSidModel:
         p["head.b2"] = bias(cfg.head_hidden2)
         p["head.w3"] = dk.glorot(rng, cfg.head_hidden2, 2)
         p["head.b3"] = bias(2)
-        # no_gfsa and avg_fusion draw full's arrays, so the ones they keep have
-        # full's init bits, then drop the ones they never read: without gated
-        # fusion nothing runs the gate, and no_gfsa runs no SID attention
+        # every variant draws full's arrays, so the ones it keeps have full's
+        # init bits, then drops the ones it never reads: without gated fusion
+        # nothing runs the gate, no_gfsa runs no SID attention, and a
+        # one-input gate reads one first-layer block
         dead = {"no_gfsa": ("gate.", "attn.wq_sid", "attn.wk_sid"),
-                "avg_fusion": ("gate.",)}.get(cfg.variant, ())
+                "avg_fusion": ("gate.",),
+                "gate_item_only": ("gate.w1_stats",),
+                "gate_stats_only": ("gate.w1_item",)}.get(cfg.variant, ())
         self.params = {k: t for k, t in p.items() if not k.startswith(dead)}
 
     # -- stat normalization ---------------------------------------------------
@@ -367,11 +365,16 @@ class GateSidModel:
     @classmethod
     def load(cls, path):
         """Rebuild a saved model. The manifest is checked against the model
-        it describes before anything is copied: an unknown or missing config
-        key, a missing or extra array, an array of the wrong shape, or a SID
-        table with a code that is not a whole number in [0, sid_codes) or a
-        non-zero pad row is a ValueError that names the file and the key."""
+        it describes before anything is copied: a missing manifest key, an
+        unknown or missing config key, a missing or extra array, an array of
+        the wrong shape, a SID table with a code that is not a whole number in
+        [0, sid_codes) or a non-zero pad row, or a ``stat_mean`` or
+        ``stat_std`` that is not n_stat finite values (``stat_std`` > 0) is a
+        ValueError that names the file and the key."""
         arrays, meta = dk.load_arrays(path)
+        for k in ("config", "n_items", "n_users", "stat_mean", "stat_std"):
+            if k not in meta:
+                raise ValueError(f"{path}: missing manifest key '{k}'")
         keys, want_keys = set(meta["config"]), {f.name for f in fields(ModelConfig)}
         for what, bad in (("unknown", keys - want_keys), ("missing", want_keys - keys)):
             if bad:
@@ -395,9 +398,14 @@ class GateSidModel:
                else "a non-zero pad row" if np.any(codes[0] != 0) else None)
         if bad:
             raise ValueError(f"{path}: array 'sid_table' holds {bad}")
+        for k, floor in (("stat_mean", -np.inf), ("stat_std", 0.0)):
+            v = meta[k]
+            if not (isinstance(v, list) and len(v) == cfg.n_stat and all(
+                    isinstance(x, (int, float)) and floor < x < np.inf for x in v)):
+                raise ValueError(f"{path}: manifest key '{k}' must hold {cfg.n_stat} "
+                                 f"finite values{' > 0' if floor == 0 else ''}")
+            setattr(model, k, np.array(v, dtype=np.float64))
         for k, v in want.items():
             v[...] = arrays[k]
-        model.stat_mean = np.array(meta["stat_mean"])
-        model.stat_std = np.array(meta["stat_std"])
         return model
 

@@ -1,11 +1,11 @@
 """End-to-end acceptance gate.
 
 Each test prints one pass/fail line (visible with ``pytest -s``) and asserts
-the same condition. The trained-model criteria share one set of golden-seed
-training runs, so the whole module runs in a few minutes.
+the same condition. The trained-model criteria share one ablation run (every
+variant they compare at every seed) on the golden corpus, so the whole module
+runs in a few minutes.
 """
 
-import dataclasses
 import hashlib
 import time
 
@@ -20,6 +20,7 @@ from oracle_ops import concat, tsum
 
 GOLDEN_SEED = 0
 SEEDS = (0, 1, 2)
+ABLATION = ("full", "no_grca", "no_gfsa", "avg_fusion")
 
 
 def report_line(num, ok, detail):
@@ -52,24 +53,21 @@ def artifacts(golden_corpus):
 
 @pytest.fixture(scope="module")
 def trained(golden_corpus, artifacts):
-    """One trained model + test report per (variant, seed) ablation cell."""
-    cells = {}
-    tc = train.TrainConfig()
-    for variant in ("full", "no_grca", "no_gfsa", "avg_fusion"):
-        for seed in SEEDS:
-            t0 = time.time()
-            model, _ = train.train_model(
-                golden_corpus, artifacts["sid_table"],
-                dataclasses.replace(artifacts["model_config"], variant=variant),
-                seed=seed, train_config=tc, token_init=artifacts["token_init"])
-            rep = evalkit.evaluate_model(golden_corpus, model, tc.test_frac)
-            cells[(variant, seed)] = {"report": rep, "seconds": time.time() - t0,
-                                      "model": model if seed == GOLDEN_SEED else None}
-    return cells
+    """One test report per (variant, seed) ablation cell, from one
+    ``run_ablation`` call, and that call's wall time."""
+    t0 = time.time()
+    cells, _ = evalkit.run_ablation(
+        golden_corpus, artifacts["sid_table"], ABLATION, SEEDS, artifacts["model_config"],
+        train_config=train.TrainConfig(), token_init=artifacts["token_init"])
+    seconds = time.time() - t0
+    failed = [f"{v}:{s}: {rep}" for (v, s), rep in cells.items() if isinstance(rep, str)]
+    if failed:
+        pytest.fail(f"{len(failed)} ablation cells failed: " + "; ".join(failed))
+    return {"cells": cells, "seconds": seconds}
 
 
-def mean_metric(cells, variant, task, metric):
-    vals = [cells[(variant, s)]["report"]["metrics"][task]["all"][metric] for s in SEEDS]
+def mean_metric(trained, variant, task, metric):
+    vals = [trained["cells"][(variant, s)]["metrics"][task]["all"][metric] for s in SEEDS]
     return float(np.mean(vals))
 
 
@@ -306,13 +304,13 @@ def test_criterion_06_ablation_ordering(trained):
     full = mean_metric(trained, "full", "ctr", "auc")
     no_grca = mean_metric(trained, "no_grca", "ctr", "auc")
     no_gfsa = mean_metric(trained, "no_gfsa", "ctr", "auc")
-    elapsed = sum(trained[(v, s)]["seconds"]
-                  for v in ("full", "no_grca", "no_gfsa") for s in SEEDS)
+    elapsed = trained["seconds"]
     ok = (full >= no_grca >= no_gfsa and full - no_gfsa >= 0.002
           and elapsed < 600.0)
     report_line(6, ok, f"mean test CTR AUC full {full:.4f} >= no_grca "
                        f"{no_grca:.4f} >= no_gfsa {no_gfsa:.4f}, margin "
-                       f"{full - no_gfsa:.4f} (>=0.002), {elapsed:.0f}s (< 600s)")
+                       f"{full - no_gfsa:.4f} (>=0.002), {len(trained['cells'])} cells "
+                       f"{elapsed:.0f}s (< 600s)")
 
 
 def test_criterion_07_gate_beats_average(trained):
@@ -323,12 +321,10 @@ def test_criterion_07_gate_beats_average(trained):
                        f"{avg:.4f}, margin {full - avg:.4f} (>=0.002)")
 
 
-def test_criterion_08_gate_age_trend(golden_corpus, trained):
-    rep = trained[("full", GOLDEN_SEED)]["report"]
-    gap = rep["gate"]["new"]["mean"] - rep["gate"]["popular"]["mean"]
-    model = trained[("full", GOLDEN_SEED)]["model"]
-    curve = evalkit.gate_age_curve(golden_corpus, model)
-    means = [r["mean_w"] for r in curve if r["mean_w"] is not None]
+def test_criterion_08_gate_age_trend(trained):
+    gate = trained["cells"][("full", GOLDEN_SEED)]["gate"]
+    gap = gate["new"]["mean"] - gate["popular"]["mean"]
+    means = [r["mean_w"] for r in gate["age_curve"] if r["mean_w"] is not None]
     good_bins = 1 + sum(means[i] <= means[i - 1] + 1e-12
                         for i in range(1, len(means)))
     ok = gap >= 0.15 and good_bins >= 4
@@ -338,8 +334,8 @@ def test_criterion_08_gate_age_trend(golden_corpus, trained):
 
 
 def test_criterion_09_alignment_effect(trained):
-    with_cl = trained[("full", GOLDEN_SEED)]["report"]["alignment"]["mean_paired_cosine"]
-    without = trained[("no_grca", GOLDEN_SEED)]["report"]["alignment"]["mean_paired_cosine"]
+    with_cl = trained["cells"][("full", GOLDEN_SEED)]["alignment"]["mean_paired_cosine"]
+    without = trained["cells"][("no_grca", GOLDEN_SEED)]["alignment"]["mean_paired_cosine"]
     ok = with_cl - without >= 0.05
     report_line(9, ok, f"alignment with contrastive term {with_cl:.3f} vs "
                        f"without {without:.3f}, gap {with_cl - without:.3f} (>=0.05)")
@@ -381,12 +377,11 @@ def _run_pipeline(root):
     paths = {k: str(root / v) for k, v in
              [("corpus_dir", "corpus"), ("codebook_path", "codebook.rqv"),
               ("sid_table_path", "sids.csv"), ("model_path", "model.ckpt"),
-              ("report_path", "report.json"), ("gate_curve_csv", "gate_curve.csv"),
-              ("emb_sid_csv", "emb_sid.csv"), ("emb_item_csv", "emb_item.csv")]}
+              ("report_path", "report.json"), ("emb_sid_csv", "emb_sid.csv"),
+              ("emb_item_csv", "emb_item.csv")]}
     cfgfile.write_text(PIPELINE_CFG
                        + "".join(f"{k}={v}\n" for k, v in paths.items()))
-    for cmd in ("gen-data", "train-rqvae", "encode-sids", "train", "eval", "gate-curve",
-                "export-emb"):
+    for cmd in ("gen-data", "train-rqvae", "encode-sids", "train", "eval", "export-emb"):
         code = cli.main([cmd, "--config", str(cfgfile), "--seed", "13"])
         assert code == 0, cmd
     digests = {}
@@ -403,5 +398,5 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     ok = first == second
     report_line(10, ok, f"bitwise-identical artifacts across reruns: "
                         f"{len(same)}/{len(first)} "
-                        f"(codebook, SID table, checkpoint, report, gate curve, "
-                        f"embeddings)")
+                        f"(codebook, SID table, checkpoint, report with its gate "
+                        f"curve, embeddings)")

@@ -77,7 +77,9 @@ def test_model_config_derives_item_dim():
 @pytest.mark.parametrize("setting, message", [
     ("ablate_variants=full,ful", "config key 'ablate_variants': unknown variant 'ful'"),
     ("ablate_seeds=0,x", "config key 'ablate_seeds': invalid literal for int() with base 10: 'x'"),
-], ids=["variant", "seed"])
+    ("ablate_variants= ,", "config key 'ablate_variants': empty list"),
+    ("ablate_seeds=", "config key 'ablate_seeds': empty list"),
+], ids=["variant", "seed", "no-variant", "no-seed"])
 def test_ablate_rejects_bad_list_entry(tmp_path, capsys, setting, message):
     with pytest.raises(config.ConfigError, match=re.escape(message)):
         config.build_config(None, [setting])
@@ -179,7 +181,6 @@ model_path={root}/model.ckpt
 report_path={root}/report.json
 ablation_json={root}/ablation.json
 ablation_csv={root}/ablation.csv
-gate_curve_csv={root}/gate_curve.csv
 emb_sid_csv={root}/emb_sid.csv
 emb_item_csv={root}/emb_item.csv
 """ + extra
@@ -264,8 +265,7 @@ def test_grad_check_command(tmp_path, capsys):
 
 def test_full_pipeline_end_to_end(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
-    seq = ["gen-data", "train-rqvae", "encode-sids", "train", "eval",
-           "gate-curve", "export-emb"]
+    seq = ["gen-data", "train-rqvae", "encode-sids", "train", "eval", "export-emb"]
     summaries = {}
     for cmd in seq:
         code, out, err = run_cli(capsys, cmd, "--config", cfg, "--seed", "11")
@@ -277,13 +277,15 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert summaries["encode-sids"]["n_items"] == 150
 
     with open(tmp_path / "report.json") as f:
-        ctr_auc = json.load(f)["metrics"]["ctr"]["all"]["auc"]
+        report = json.load(f)
+    ctr_auc = report["metrics"]["ctr"]["all"]["auc"]
     assert 0.0 < ctr_auc < 1.0
     assert summaries["eval"]["ctr_auc"] == ctr_auc
 
-    with open(tmp_path / "gate_curve.csv") as f:
-        header = f.readline().strip()
-    assert header == "age_lo,age_hi,n,mean_w"
+    # the report carries the gate-age curve: bins over every item
+    curve = report["gate"]["age_curve"]
+    assert [set(row) for row in curve] == [{"age_lo", "age_hi", "n", "mean_w"}] * len(curve)
+    assert sum(row["n"] for row in curve) == 150
 
     with open(tmp_path / "emb_sid.csv") as f:
         header = f.readline().strip()
@@ -574,6 +576,31 @@ def test_ablate_command_degenerate(tmp_path, capsys):
     assert "ctr_auc" in payload["summary"]["full"]
     with open(tmp_path / "ablation.csv") as f:
         assert f.readline().startswith("variant,ctr_auc")
+
+
+def test_ablate_command_exits_on_a_failed_cell(tmp_path, capsys, monkeypatch):
+    cfg = write_tiny_config(tmp_path, extra="ablate_variants=full,no_grca\nablate_seeds=0,1\n")
+    for cmd in ("gen-data", "train-rqvae", "encode-sids"):
+        code, _, _ = run_cli(capsys, cmd, "--config", cfg, "--seed", "11")
+        assert code == 0
+    real_train = train.train_model
+
+    def train_model(corpus, sid_table, model_config, **kwargs):
+        if model_config.variant == "no_grca":
+            raise RuntimeError("boom")
+        return real_train(corpus, sid_table, model_config, **kwargs)
+
+    monkeypatch.setattr(train, "train_model", train_model)
+    code, out, err = run_cli(capsys, "ablate", "--config", cfg, "--seed", "11")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: 2 of 4 ablation cells failed; first no_grca:0: boom"
+    # both files are written, the failed cells as their error strings
+    with open(tmp_path / "ablation.json") as f:
+        payload = json.load(f)
+    assert payload["cells"]["no_grca:0"] == payload["cells"]["no_grca:1"] == "error: boom"
+    assert 0.0 < payload["cells"]["full:1"]["metrics"]["ctr"]["all"]["auc"] < 1.0
+    with open(tmp_path / "ablation.csv") as f:
+        assert f.read().splitlines()[2] == "no_grca,,,,"
 
 
 def test_log_level_env(monkeypatch):

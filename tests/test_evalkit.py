@@ -255,6 +255,7 @@ def test_evaluate_model_buckets(small_corpus, small_sid_table):
     assert rep["metrics"]["ctr"]["all"]["n"] == test_idx.size
     assert rep["counts"]["n_eval"] == test_idx.size
     assert len(rep["gate"]["all"]["deciles"]) == 9
+    assert rep["gate"]["age_curve"] == evalkit.gate_age_curve(small_corpus, model)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +298,3 @@ def test_gate_curve_bins_partition_when_thresholds_move(small_corpus, small_sid_
     assert [(r["age_lo"], r["age_hi"]) for r in curve] == list(zip(edges[:-1], edges[1:]))
     assert sum(r["n"] for r in curve) == corpus.n_items  # no item counted twice
 
-
-def test_gate_curve_csv_layout(tmp_path):
-    curve = [{"age_lo": 0, "age_hi": 20, "n": 3, "mean_w": 0.625},
-             {"age_lo": 20, "age_hi": 60, "n": 0, "mean_w": None}]
-    path = tmp_path / "gate_curve.csv"
-    evalkit.write_gate_curve_csv(str(path), curve)
-    assert path.read_bytes() == b"age_lo,age_hi,n,mean_w\n0,20,3,0.625\n20,60,0,\n"

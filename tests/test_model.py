@@ -490,14 +490,11 @@ def test_trainable_params_per_variant():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_arrays_have_full_init_bits(variant):
-    # no_grca, no_gfsa and avg_fusion draw full's arrays in full's order and
-    # keep some: each kept array has full's bits. The gate-input variants
-    # draw their gate's first layer over their own fan-in, so of their
-    # arrays only the embeddings, drawn before it, are full's.
+    # every variant draws full's arrays in full's order and keeps some: each
+    # kept array has full's bits
     full, model = tiny_model("full").params, tiny_model(variant).params
     assert set(model) <= set(full)
-    own_gate = variant in ("gate_item_only", "gate_stats_only")
-    for k in [k for k in model if k.endswith("_emb")] if own_gate else model:
+    for k in model:
         assert same_bits(model[k].values, full[k].values), k
 
 
@@ -706,23 +703,36 @@ def test_predict_does_not_depend_on_the_chunk_size():
 
 
 @pytest.mark.parametrize("edit, key", [
-    (lambda cfg, arrays: cfg.update(d_item=12), "d_item"),
-    (lambda cfg, arrays: cfg.pop("attn_dim"), "attn_dim"),
-    (lambda cfg, arrays: arrays.pop("gate.w2"), "gate.w2"),
-    (lambda cfg, arrays: arrays.update(extra=np.zeros(2)), "extra"),
-    (lambda cfg, arrays: arrays.update({"head.b3": np.zeros(1)}), "head.b3"),
-    (lambda cfg, arrays: arrays["sid_table"].__setitem__((1, 0), np.inf), "sid_table"),
-    (lambda cfg, arrays: arrays["sid_table"].__setitem__((1, 0), 2.7), "sid_table"),
-    (lambda cfg, arrays: arrays["sid_table"].__setitem__((1, 0), 8.0), "sid_table"),
-    (lambda cfg, arrays: arrays["sid_table"].__setitem__((0, 2), 1.0), "sid_table"),
+    (lambda meta, arrays: meta["config"].update(d_item=12), "d_item"),
+    (lambda meta, arrays: meta["config"].pop("attn_dim"), "attn_dim"),
+    (lambda meta, arrays: arrays.pop("gate.w2"), "gate.w2"),
+    (lambda meta, arrays: arrays.update(extra=np.zeros(2)), "extra"),
+    (lambda meta, arrays: arrays.update({"head.b3": np.zeros(1)}), "head.b3"),
+    (lambda meta, arrays: arrays["sid_table"].__setitem__((1, 0), np.inf), "sid_table"),
+    (lambda meta, arrays: arrays["sid_table"].__setitem__((1, 0), 2.7), "sid_table"),
+    (lambda meta, arrays: arrays["sid_table"].__setitem__((1, 0), 8.0), "sid_table"),
+    (lambda meta, arrays: arrays["sid_table"].__setitem__((0, 2), 1.0), "sid_table"),
+    # each of these would load, then fail on a bare key, broadcast one value
+    # over every stat column or divide by zero at scoring
+    (lambda meta, arrays: meta.pop("config"), "config"),
+    (lambda meta, arrays: meta.pop("n_items"), "n_items"),
+    (lambda meta, arrays: meta.pop("n_users"), "n_users"),
+    (lambda meta, arrays: meta.pop("stat_mean"), "stat_mean"),
+    (lambda meta, arrays: meta.pop("stat_std"), "stat_std"),
+    (lambda meta, arrays: meta.update(stat_mean=[0.5]), "stat_mean"),
+    (lambda meta, arrays: meta.update(stat_std=[2.0]), "stat_std"),
+    (lambda meta, arrays: meta["stat_std"].__setitem__(1, 0.0), "stat_std"),
+    (lambda meta, arrays: meta["stat_mean"].__setitem__(0, None), "stat_mean"),
 ], ids=["unknown_config_key", "missing_config_key", "missing_array", "extra_array",
         "shape_mismatch", "nonfinite_sid_code", "fractional_sid_code", "sid_code_outside_level",
-        "nonzero_sid_pad_row"])
+        "nonzero_sid_pad_row", "missing_config", "missing_n_items", "missing_n_users",
+        "missing_stat_mean", "missing_stat_std", "one_stat_mean", "one_stat_std",
+        "zero_stat_std", "null_stat_mean"])
 def test_load_rejects_checkpoint_that_does_not_fit(tmp_path, edit, key):
     path = str(tmp_path / "m.ckpt")
     tiny_model().save(path)
     arrays, meta = dk.load_arrays(path)
-    edit(meta["config"], arrays)
+    edit(meta, arrays)
     bad = str(tmp_path / "bad.ckpt")
     dk.save_arrays(bad, arrays, meta)
     with pytest.raises(ValueError) as exc:
