@@ -201,8 +201,8 @@ def relu(x):
     """max(x, 0), NaN to 0; the backward reads the output: out > 0 iff x > 0."""
     out, sx = np.where(x.values > 0, x.values, 0.0), x.slot
 
-    def bw(g):
-        _accum(sx, g * (out > 0))
+    def bw(g):  # g is relu's own (see _accum): masked in place
+        _accum(sx, np.multiply(g, out > 0, out=g))
 
     return _make(out, (x,), bw)
 
@@ -211,17 +211,8 @@ def relu(x):
 # linear algebra
 
 
-def linear(parts, w, b=None):
-    """(parts joined on the last axis) @ w (+ b): part i multiplies its own
-    block of w's rows, in part order, and w has exactly as many rows as the
-    parts are wide together. A single Tensor is one part; the parts have
-    ndim >= 2 and one leading shape, w is 2-D, b is optional.
-
-    One product per part, summed in part order, so the concatenation is never
-    built. Backward builds the weight gradient first, one array with one row
-    block written per part, drops the parts' values (often the largest arrays
-    saved), then builds the input gradient of each part that needs one.
-    """
+def _linear_parts(parts, w, b):
+    """linear's part list and its row offsets into w, after linear's shape checks."""
     parts = [parts] if isinstance(parts, Tensor) else list(parts)
     offs = np.cumsum([0] + [p.shape[-1] for p in parts])
     lead = parts[0].shape[:-1]
@@ -230,15 +221,27 @@ def linear(parts, w, b=None):
             or (b is not None and b.shape != w.shape[1:])):
         raise ShapeError("linear", *[p.shape for p in parts], w.shape,
                          None if b is None else b.shape)
+    return parts, offs
 
+
+def _linear_values(parts, offs, w, b, rows=slice(None)):
+    """concat(parts)[rows] @ w (+ b): one product per part, summed in part
+    order into the first, so the concatenation is never built."""
     wv = w.values
-    out = np.matmul(parts[0].values, wv[offs[0]:offs[1]])
+    out = np.matmul(parts[0].values[rows], wv[offs[0]:offs[1]])
     for p, lo, hi in zip(parts[1:], offs[1:], offs[2:]):
-        out += np.matmul(p.values, wv[lo:hi])
+        out += np.matmul(p.values[rows], wv[lo:hi])
     if b is not None:
         out += b.values
+    return out
+
+
+def _linear_backward(parts, offs, w, b):
+    """linear's backward closure; it only reads g. The weight gradient is one
+    array, one row block written per part, built before the parts' values
+    (often the largest arrays saved) are dropped."""
     slots, saved = [p.slot for p in parts], [p.values for p in parts]
-    sw, sb = w.slot, None if b is None else b.slot
+    sw, sb, wv = w.slot, None if b is None else b.slot, w.values
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -255,7 +258,22 @@ def linear(parts, w, b=None):
             if s.requires_grad:
                 _accum(s, np.matmul(g, wv[lo:hi].T))
 
-    return _make(out, parts + [w] + ([] if b is None else [b]), bw)
+    return bw
+
+
+def linear(parts, w, b=None):
+    """(parts joined on the last axis) @ w (+ b): part i multiplies its own
+    block of w's rows, in part order, and w has exactly as many rows as the
+    parts are wide together. A single Tensor is one part; the parts have
+    ndim >= 2 and one leading shape, w is 2-D, b is optional.
+
+    One product per part, summed in part order, so the concatenation is never
+    built. Backward builds the weight gradient first, drops the parts'
+    values, then builds the input gradient of each part that needs one.
+    """
+    parts, offs = _linear_parts(parts, w, b)
+    return _make(_linear_values(parts, offs, w, b), parts + [w] + ([] if b is None else [b]),
+                 _linear_backward(parts, offs, w, b))
 
 
 def reshape(x, shape):
@@ -298,24 +316,44 @@ def gather_rows(table, idx):
     return _make(table.values[idx], (table,), bw)
 
 
-def add_rows(x, t, pos):
+def add_rows(x, t, pos, parts=(), w=None, b=None):
     """x + t[pos] for x (B, D), t (V, D) and an integer index pos (B,): row i
-    of x plus row pos[i] of t. The output is the only (B, D) array built;
-    the backward passes g to x and ``scatter_rows`` of g to t."""
+    of x plus row pos[i] of t. With ``parts`` it also adds linear(parts, w,
+    b), as add_rows(add(x, linear(parts, w, b)), t, pos) would, with the
+    same checks and additions, the products summed in blocks of ``_BLOCK``
+    rows. The output is the only (B, D) array built; the backward passes
+    ``scatter_rows`` of g to t, g to the linear term's backward, then g to x.
+    """
     pos = np.asarray(pos)
+    inputs = [x, t]
+    if parts:
+        parts, offs = _linear_parts(parts, w, b)
+        if x.shape != parts[0].shape[:-1] + w.shape[1:]:
+            raise ShapeError("add_rows", x.shape, parts[0].shape[:-1] + w.shape[1:])
+        inputs += parts + [w] + ([] if b is None else [b])
     if (x.values.ndim != 2 or t.values.ndim != 2 or x.shape[1] != t.shape[1]
             or pos.shape != x.shape[:1]):
         raise ShapeError("add_rows", x.shape, t.shape, pos.shape)
     _check_rows("add_rows", pos, t.shape[0])
     out = np.take(t.values, pos, axis=0)
-    out += x.values
+    if not parts:
+        out += x.values
+    else:
+        for lo in range(0, out.shape[0], _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            part_sum = _linear_values(parts, offs, w, b, blk)
+            part_sum += x.values[blk]
+            out[blk] += part_sum
     sx, st = x.slot, t.slot
+    linear_bw = _linear_backward(parts, offs, w, b) if parts else None
 
     def bw(g):
         _accum(st, scatter_rows(st.shape[0], pos, g))  # before x may adopt g
+        if linear_bw is not None:
+            linear_bw(g)
         _accum(sx, g)
 
-    return _make(out, (x, t), bw)
+    return _make(out, inputs, bw)
 
 
 def take_column(x, j):
@@ -378,8 +416,9 @@ def row_softmax(x, mask=None):
     return _make(s, (x,), bw)
 
 
-# Batch rows per block in the history kernels: a block's gathered rows are
-# (_BLOCK, L, D), so no per-slot array of the whole batch is ever built.
+# Batch rows per block in the history kernels, whose block's gathered rows are
+# (_BLOCK, L, D), so no per-slot array of the whole batch is ever built; and
+# in add_rows' linear term, whose products are (_BLOCK, D).
 _BLOCK = 64
 
 
@@ -411,11 +450,9 @@ def _scatter_outer(n_rows, idx, w, v):
     of weight ±0 (the pad slots) are left out: their products are ±0, and
     adding ±0 changes no bin sum, which starts at +0.0 and so is never -0.0.
     """
-    flat, w = idx.ravel(), w.ravel()
-    rows = np.repeat(np.arange(v.shape[0]), idx.shape[1])
-    if np.isfinite(v).all():
-        keep = np.flatnonzero(w)
-        flat, w, rows = flat[keep], w[keep], rows[keep]
+    w = w.ravel()
+    keep = np.flatnonzero(w) if np.isfinite(v).all() else np.arange(w.size)
+    flat, w, rows = idx.ravel()[keep], w[keep], keep // idx.shape[1]
     prod = np.empty(w.shape)
     out = np.empty((n_rows, v.shape[1]))
     for lo in range(0, v.shape[1], 16):  # contiguous columns gather faster; no (D, B) copy

@@ -236,17 +236,14 @@ class GateSidModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def forward(self, batch):
-        """batch: dict with target_ids (B,), hist_ids (B,L), user_ids (B,),
-        stats_raw (B,n_stat). Returns a dict of Tensors: the two heads' logits
-        and the gate weight w, one row per impression, and the target
-        embeddings e_sid and e_item, one row per distinct target in order of
-        first occurrence; plus ``first``, each such target's first impression.
-        Each distinct target goes through ``gate.w1_item``, ``attn.wq_*`` and
-        ``head.w1_target`` once; impression i reads row pos[i]."""
+    def _targets(self, batch):
+        """The target part of the forward pass: the distinct targets' e_sid
+        and e_item, one row per distinct target in order of first occurrence,
+        ``first``, each such target's first impression, ``pos``, each
+        impression's row, the gate weight w and the normalised stats, one row
+        per impression. Each distinct target goes through ``gate.w1_item``
+        once; impression i reads row pos[i]."""
         target_ids = np.asarray(batch["target_ids"])
-        hist_ids = np.asarray(batch["hist_ids"])
-        user_ids = np.asarray(batch["user_ids"])
         if target_ids.min() < 1 or target_ids.max() > self.n_items:
             raise IndexError("forward: unknown target item id")
         stats_norm = self.normalize_stats(batch["stats_raw"])
@@ -256,30 +253,38 @@ class GateSidModel:
 
         ids = target_ids[first]
         e_item = dk.gather_rows(self.params["item_emb"], ids)
-        e_sid = self.sid_embed(self.sid_table[ids])
-        e_user = dk.gather_rows(self.params["user_emb"], user_ids)
-        w = self.gate_weight(e_item, pos, stats_norm)
+        return {"e_sid": self.sid_embed(self.sid_table[ids]), "e_item": e_item,
+                "w": self.gate_weight(e_item, pos, stats_norm), "first": first, "pos": pos,
+                "stats_norm": stats_norm}
 
+    def _score(self, batch, t):
+        """The scoring part of the forward pass, on ``_targets``' output t:
+        the history pool and the head. Returns the two heads' logits, one
+        per impression. Each distinct target goes through ``attn.wq_*`` and
+        ``head.w1_target`` once."""
+        hist_ids = np.asarray(batch["hist_ids"])
+        e_user = dk.gather_rows(self.params["user_emb"], np.asarray(batch["user_ids"]))
+        e_sid, e_item, pos, p = t["e_sid"], t["e_item"], t["pos"], self.params
         # the head's first layer: the pooled (SID, item) vectors, the target
-        # (SID, item) embeddings and the context (stats, user). The (B, 128)
-        # pooled and per-impression parts and their sum are arguments only,
-        # so each dies once consumed.
-        p = self.params
+        # (SID, item) embeddings and the context (stats, user), summed into
+        # one (B, 128) array; the pooled part is an argument only, so it dies
+        # once consumed
         z1 = dk.relu(dk.add_rows(
-            dk.add(self._pool_history(hist_ids, e_item, e_sid, pos, w),
-                   dk.linear([dk.constant(stats_norm), e_user], p["head.w1_context"],
-                             p["head.b1"])),
-            dk.linear([e_sid, e_item], p["head.w1_target"]), pos))
+            self._pool_history(hist_ids, e_item, e_sid, pos, t["w"]),
+            dk.linear([e_sid, e_item], p["head.w1_target"]), pos,
+            [dk.constant(t["stats_norm"]), e_user], p["head.w1_context"], p["head.b1"]))
         z2 = dk.relu(dk.linear(z1, p["head.w2"], p["head.b2"]))
         logits = dk.linear(z2, p["head.w3"], p["head.b3"])
-        return {
-            "ctr_logit": dk.take_column(logits, 0),
-            "ctcvr_logit": dk.take_column(logits, 1),
-            "w": w,
-            "e_sid": e_sid,
-            "e_item": e_item,
-            "first": first,
-        }
+        return {"ctr_logit": dk.take_column(logits, 0), "ctcvr_logit": dk.take_column(logits, 1)}
+
+    def forward(self, batch):
+        """batch: dict with target_ids (B,), hist_ids (B,L), user_ids (B,),
+        stats_raw (B,n_stat). Returns a dict of Tensors: the two heads' logits
+        and the gate weight w, one row per impression, and the target
+        embeddings e_sid and e_item, one row per distinct target in order of
+        first occurrence; plus ``first``, each such target's first impression."""
+        t = self._targets(batch)
+        return {**self._score(batch, t), **{k: t[k] for k in ("w", "e_sid", "e_item", "first")}}
 
     # -- losses ------------------------------------------------------------------
 
@@ -295,22 +300,29 @@ class GateSidModel:
     def loss(self, batch, contrast_w=None):
         """Total objective on one batch. Returns (total, parts dict).
 
+        The alignment loss runs between the forward pass's target and
+        scoring parts, where its inputs are ready and before the history
+        pool's and the head's arrays exist, so its working arrays never sit
+        on top of them.
+
         ``contrast_w`` overrides the per-instance contrastive weights with a
         fixed array. The weights are a stop-gradient quantity either way; the
         override makes the loss a pure function of the remaining parameters,
         which is what a finite-difference gradient check needs.
         """
-        out = self.forward(batch)
+        t = self._targets(batch)
+        l_cl = None
+        if self.cfg.lam > 0.0 and self.cfg.variant != "no_grca":
+            # each distinct target weighted by its first impression's gate value
+            w_cl = t["w"].values if contrast_w is None else np.asarray(contrast_w)
+            l_cl = self.contrastive_loss(t["e_sid"], t["e_item"], w_cl.reshape(-1)[t["first"]])
+        out = self._score(batch, t)
         click = np.asarray(batch["click"], dtype=np.float64)
         pay = np.asarray(batch["pay"], dtype=np.float64)
         l_rank = dk.add(dk.tmean(dk.bce_with_logits(out["ctr_logit"], click)),
                         dk.tmean(dk.bce_with_logits(out["ctcvr_logit"], click * pay)))
         parts = {"rank": l_rank}
-        if self.cfg.lam > 0.0 and self.cfg.variant != "no_grca":
-            # each distinct target weighted by its first impression's gate value
-            w_cl = out["w"].values if contrast_w is None else np.asarray(contrast_w)
-            l_cl = self.contrastive_loss(out["e_sid"], out["e_item"],
-                                         w_cl.reshape(-1)[out["first"]])
+        if l_cl is not None:
             parts["contrastive"] = l_cl
             total = dk.add(l_rank, dk.affine(l_cl, self.cfg.lam))
         else:

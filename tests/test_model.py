@@ -361,24 +361,28 @@ class PerSlotModel(GateSidModel):
     concatenates its SID rows and projects its own keys; both sequences are
     pooled, and then the concatenated pooled pair goes through head.w1_pool."""
 
-    def forward(self, batch):
+    def _targets(self, batch):
         target_ids = np.asarray(batch["target_ids"])
         stats = dk.constant(self.normalize_stats(batch["stats_raw"]))
         e_item = dk.gather_rows(self.params["item_emb"], target_ids)
         e_sid = self.sid_embed(self.sid_table[target_ids])
+        w = self.gate_weight(e_item, np.arange(target_ids.size), stats.values)
+        first = np.sort(np.unique(target_ids, return_index=True)[1])
+        return {"w": w, "e_sid": dk.gather_rows(e_sid, first),
+                "e_item": dk.gather_rows(e_item, first), "first": first,
+                "per_impression": (e_sid, e_item, stats)}
+
+    def _score(self, batch, t):
+        e_sid, e_item, stats = t["per_impression"]
         e_user = dk.gather_rows(self.params["user_emb"], np.asarray(batch["user_ids"]))
-        every = np.arange(target_ids.size)
-        w = self.gate_weight(e_item, every, stats.values)
-        pooled = self._pool_history(np.asarray(batch["hist_ids"]), e_item, e_sid, every, w)
+        every = np.arange(stats.shape[0])
+        pooled = self._pool_history(np.asarray(batch["hist_ids"]), e_item, e_sid, every, t["w"])
         w1 = join_rows([self.params["head.w1_target"], self.params["head.w1_context"]])
         z1 = dk.relu(dk.add(pooled, dk.linear(concat([e_sid, e_item, stats, e_user]), w1,
                                               self.params["head.b1"])))
         z2 = dk.relu(dk.linear(z1, self.params["head.w2"], self.params["head.b2"]))
         logits = dk.linear(z2, self.params["head.w3"], self.params["head.b3"])
-        first = np.sort(np.unique(target_ids, return_index=True)[1])
-        return {"ctr_logit": dk.take_column(logits, 0), "ctcvr_logit": dk.take_column(logits, 1),
-                "w": w, "e_sid": dk.gather_rows(e_sid, first),
-                "e_item": dk.gather_rows(e_item, first), "first": first}
+        return {"ctr_logit": dk.take_column(logits, 0), "ctcvr_logit": dk.take_column(logits, 1)}
 
     def _pool_history(self, hist_ids, e_item, e_sid, pos, w):
         h_item_seq = dk.gather_rows(self.params["item_emb"], hist_ids)
@@ -447,6 +451,25 @@ def test_forward_pools_the_history_once(variant, monkeypatch):
     batch = tiny_batch(model)
     model.forward(batch)
     assert calls == [(np.unique(batch["hist_ids"]).size, model.cfg.head_hidden1)]
+
+
+@pytest.mark.parametrize("variant", ["full", "no_gfsa", "no_grca"])
+def test_loss_runs_info_nce_before_the_history_pool(variant, monkeypatch):
+    # InfoNCE's working arrays never sit on top of the pool's and the head's
+    # arrays; forward and predict run no InfoNCE, and no_grca none at all
+    calls = []
+    for name in ("info_nce", "attention_pool"):
+        op = getattr(dk, name)
+        monkeypatch.setattr(dk, name, lambda *args, _op=op, _name=name:
+                            calls.append(_name) or _op(*args))
+    model = tiny_model(variant)
+    batch = tiny_batch(model)
+    model.forward(batch)
+    model.predict(batch)
+    assert calls == ["attention_pool"] * 2
+    calls.clear()
+    model.loss(batch)
+    assert calls == ["attention_pool"] if variant == "no_grca" else ["info_nce", "attention_pool"]
 
 
 # ---------------------------------------------------------------------------
