@@ -116,7 +116,8 @@ def parse_config_text(text, source="<config>"):
 
 
 def build_config(config_path=None, overrides=None):
-    """Defaults, then file values, then --set overrides (highest precedence)."""
+    """Defaults, then file values, then --set overrides (highest precedence).
+    An unknown variant or a loop count below 1 is a ConfigError naming the key."""
     values = {}
     if config_path is not None:
         try:
@@ -130,6 +131,9 @@ def build_config(config_path=None, overrides=None):
         values[key] = val
     cfg = RunConfig(**values)
     ablation_grid(cfg)  # checks variant too
+    for key in ("epochs", "rq_epochs", "batch_size", "rq_batch"):  # before any stage runs
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"config key '{key}': must be at least 1, got {getattr(cfg, key)}")
     return cfg
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import diffkernel as dk
 from .synthcorpus import STAT_FEATURES
 
-VARIANTS = ("full", "no_grca", "no_gfsa", "gate_item_only", "gate_stats_only", "avg_fusion")
+VARIANTS = ("full", "no_grca", "no_gfsa", "avg_fusion")
 
 
 def token_init_from_codebook(level_codes, d_token, target_norm=4.0):
@@ -146,12 +146,9 @@ class GateSidModel:
         p["head.b3"] = bias(2)
         # every variant draws full's arrays, so the ones it keeps have full's
         # init bits, then drops the ones it never reads: without gated fusion
-        # nothing runs the gate, no_gfsa runs no SID attention, and a
-        # one-input gate reads one first-layer block
+        # nothing runs the gate, and no_gfsa runs no SID attention
         dead = {"no_gfsa": ("gate.", "attn.wq_sid", "attn.wk_sid"),
-                "avg_fusion": ("gate.",),
-                "gate_item_only": ("gate.w1_stats",),
-                "gate_stats_only": ("gate.w1_item",)}.get(cfg.variant, ())
+                "avg_fusion": ("gate.",)}.get(cfg.variant, ())
         self.params = {k: t for k, t in p.items() if not k.startswith(dead)}
 
     # -- stat normalization ---------------------------------------------------
@@ -183,16 +180,11 @@ class GateSidModel:
         e_item, ``gate.w1_stats`` and ``gate.b1`` once per impression."""
         if not np.all(np.isfinite(stats_norm)):
             raise dk.NonFiniteError("gate_weight")
-        p, v = self.params, self.cfg.variant
-        if v in ("avg_fusion", "no_gfsa"):  # no gated fusion: nothing trains a gate
+        if self.cfg.variant in ("avg_fusion", "no_gfsa"):  # no gated fusion: nothing trains a gate
             return dk.constant(np.full((len(pos), 1), 0.5))
-        if v == "gate_item_only":
-            pre = dk.gather_rows(dk.linear(e_item, p["gate.w1_item"], p["gate.b1"]), pos)
-        elif v == "gate_stats_only":
-            pre = dk.linear(dk.constant(stats_norm), p["gate.w1_stats"], p["gate.b1"])
-        else:
-            pre = dk.add_rows(dk.linear(dk.constant(stats_norm), p["gate.w1_stats"], p["gate.b1"]),
-                              dk.linear(e_item, p["gate.w1_item"]), pos)
+        p = self.params
+        pre = dk.add_rows(dk.linear(dk.constant(stats_norm), p["gate.w1_stats"], p["gate.b1"]),
+                          dk.linear(e_item, p["gate.w1_item"]), pos)
         return dk.sigmoid(dk.linear(dk.relu(pre), p["gate.w2"], p["gate.b2"]))
 
     def _attention(self, e_target, pos, rows, idx, wq, wk, mask):
@@ -378,7 +370,7 @@ class GateSidModel:
     def load(cls, path):
         """Rebuild a saved model. The manifest is checked against the model
         it describes before anything is copied: a missing manifest key, an
-        unknown or missing config key, a missing or extra array, an array of
+        unknown or missing config key or variant, a missing or extra array, an array of
         the wrong shape, a SID table with a code that is not a whole number in
         [0, sid_codes) or a non-zero pad row, or a ``stat_mean`` or
         ``stat_std`` that is not n_stat finite values (``stat_std`` > 0) is a
@@ -391,7 +383,10 @@ class GateSidModel:
         for what, bad in (("unknown", keys - want_keys), ("missing", want_keys - keys)):
             if bad:
                 raise ValueError(f"{path}: {what} model config key '{min(bad)}'")
-        cfg = ModelConfig(**meta["config"])
+        try:
+            cfg = ModelConfig(**meta["config"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         n = meta["n_items"]
         model = cls(n, meta["n_users"], np.zeros((n + 1, cfg.sid_levels)), cfg, seed=0)
         want = {k: p.values for k, p in model.params.items()}

@@ -79,7 +79,17 @@ def test_model_config_derives_item_dim():
     ("ablate_seeds=0,x", "config key 'ablate_seeds': invalid literal for int() with base 10: 'x'"),
     ("ablate_variants= ,", "config key 'ablate_variants': empty list"),
     ("ablate_seeds=", "config key 'ablate_seeds': empty list"),
-], ids=["variant", "seed", "no-variant", "no-seed"])
+    ("variant=gate_item_only", "config key 'variant': unknown variant 'gate_item_only'; "
+     "expected one of ('full', 'no_grca', 'no_gfsa', 'avg_fusion')"),
+    ("ablate_variants=full,gate_stats_only",
+     "config key 'ablate_variants': unknown variant 'gate_stats_only'; "
+     "expected one of ('full', 'no_grca', 'no_gfsa', 'avg_fusion')"),
+    ("epochs=0", "config key 'epochs': must be at least 1, got 0"),
+    ("rq_epochs=0", "config key 'rq_epochs': must be at least 1, got 0"),
+    ("batch_size=0", "config key 'batch_size': must be at least 1, got 0"),
+    ("rq_batch=-1", "config key 'rq_batch': must be at least 1, got -1"),
+], ids=["variant", "seed", "no-variant", "no-seed", "deleted-variant", "deleted-ablate-variant",
+        "epochs", "rq-epochs", "batch-size", "rq-batch"])
 def test_ablate_rejects_bad_list_entry(tmp_path, capsys, setting, message):
     with pytest.raises(config.ConfigError, match=re.escape(message)):
         config.build_config(None, [setting])
@@ -233,6 +243,23 @@ def test_bad_config_value_exit_code(capsys):
     assert "config error" in err
 
 
+def test_loop_count_below_one_writes_nothing(tmp_path, capsys):
+    # refused while the config is read, before the stage writes its artifact
+    cfg = write_tiny_config(tmp_path)
+    for cmd in ("gen-data", "train-rqvae", "encode-sids"):
+        assert run_cli(capsys, cmd, "--config", cfg, "--seed", "3")[0] == 0
+
+    def snapshot():
+        return {p: file_hash(p) for p in map(str, tmp_path.rglob("*")) if os.path.isfile(p)}
+
+    before = snapshot()
+    for stage, key in (("train-rqvae", "rq_epochs"), ("train-rqvae", "rq_batch"),
+                       ("train", "epochs"), ("train", "batch_size")):
+        code, out, err = run_cli(capsys, stage, "--config", cfg, "--set", f"{key}=0")
+        assert code == 1 and out == "" and f"config key '{key}'" in err, err
+        assert snapshot() == before, key
+
+
 def test_gen_data_deterministic_hashes(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     for run in ("a", "b"):
@@ -309,6 +336,14 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--config", cfg)
     assert code == 1
     assert "model.ckpt" in err and "unknown model config key 'd_item'" in err
+
+    # so is one of a variant that no longer exists
+    del meta["config"]["d_item"]
+    meta["config"]["variant"] = "gate_item_only"
+    dk.save_arrays(str(tmp_path / "model.ckpt"), arrays, meta)
+    code, _, err = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 1
+    assert "model.ckpt" in err and "unknown variant 'gate_item_only'" in err
 
     # a checkpoint with bytes after its last array is refused
     with open(tmp_path / "model.ckpt", "ab") as f:

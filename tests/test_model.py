@@ -130,14 +130,9 @@ def test_gate_rejects_nonfinite_stats():
 
 
 def test_gate_input_variants():
-    # one first-layer weight per gate input, and only the inputs the variant reads
-    def blocks(variant):
-        return {k: p.shape for k, p in tiny_model(variant).params.items()
-                if k.startswith("gate.w1")}
-
-    assert blocks("gate_item_only") == {"gate.w1_item": (12, 4)}
-    assert blocks("gate_stats_only") == {"gate.w1_stats": (3, 4)}
-    assert blocks("full") == {"gate.w1_item": (12, 4), "gate.w1_stats": (3, 4)}
+    # one first-layer weight per gate input
+    blocks = {k: p.shape for k, p in tiny_model("full").params.items() if k.startswith("gate.w1")}
+    assert blocks == {"gate.w1_item": (12, 4), "gate.w1_stats": (3, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -786,5 +781,4 @@ def test_item_helpers_shapes():
 
 
 def test_variant_list_stable():
-    assert set(VARIANTS) == {"full", "no_grca", "no_gfsa", "gate_item_only",
-                             "gate_stats_only", "avg_fusion"}
+    assert VARIANTS == ("full", "no_grca", "no_gfsa", "avg_fusion")
