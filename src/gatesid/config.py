@@ -9,6 +9,7 @@ reference-scale values are noted next to the module fields they replace.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .model import VARIANTS, ModelConfig
@@ -117,7 +118,8 @@ def parse_config_text(text, source="<config>"):
 
 def build_config(config_path=None, overrides=None):
     """Defaults, then file values, then --set overrides (highest precedence).
-    An unknown variant or a loop count below 1 is a ConfigError naming the key."""
+    An unknown variant, a loop count below 1, a float that is not finite or a
+    tau that is not above 0 is a ConfigError naming the key."""
     values = {}
     if config_path is not None:
         try:
@@ -134,6 +136,11 @@ def build_config(config_path=None, overrides=None):
     for key in ("epochs", "rq_epochs", "batch_size", "rq_batch"):  # before any stage runs
         if getattr(cfg, key) < 1:
             raise ConfigError(f"config key '{key}': must be at least 1, got {getattr(cfg, key)}")
+    for key, f in _FIELDS.items():
+        if f.type is float and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"config key '{key}': must be finite, got {getattr(cfg, key)}")
+    if cfg.tau <= 0:  # InfoNCE divides by it
+        raise ConfigError(f"config key 'tau': must be above 0, got {cfg.tau}")
     return cfg
 
 

@@ -13,6 +13,15 @@ tape is rebuilt for every forward pass -- there is no graph caching.
 Gradients are owned, not copied (see ``_accum``), and ``backward`` frees
 each op output's gradient once its op has consumed it: after ``backward``
 only leaves keep ``.grad``.
+
+A ``gather_rows`` output carries its recipe ``(table values, idx)``, and
+``reshape`` passes it on. An op that saves an input for its backward
+(``linear``'s and ``add_rows``' linear term, ``attention_scores``' query)
+saves a gathered input's recipe instead of its values, and the backward
+gathers the rows again. Contract: a table that a recipe reads must not
+change between a forward pass and its backward. ``AdamW.step`` runs after
+``backward``, and ``grad_check`` takes its analytic gradients before it
+perturbs anything.
 """
 
 import numpy as np
@@ -64,11 +73,12 @@ class Slot:
 class Tensor:
     """Row-major float64 array with a gradient slot."""
 
-    __slots__ = ("values", "slot")
+    __slots__ = ("values", "slot", "recipe")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.slot = Slot(self.values.shape, bool(requires_grad))
+        self.recipe = None  # (table values, idx): a gather's output, or a view of one
 
     @property
     def shape(self):
@@ -128,6 +138,17 @@ def _make(values, inputs, backward_fn):
     if out.slot.requires_grad and tape is not None:
         tape._ops.append((out.slot, backward_fn))
     return out
+
+
+def _saved(t):
+    """What a backward keeps of t's values: its gather recipe, if it has one."""
+    return t.values if t.recipe is None else t.recipe
+
+
+def _restore(saved, shape):
+    """The values ``_saved`` kept, viewed as ``shape``: a recipe is gathered again."""
+    values = saved if isinstance(saved, np.ndarray) else saved[0][saved[1]]
+    return values.reshape(shape)
 
 
 def _check_finite(op, t):
@@ -240,7 +261,7 @@ def _linear_backward(parts, offs, w, b):
     """linear's backward closure; it only reads g. The weight gradient is one
     array, one row block written per part, built before the parts' values
     (often the largest arrays saved) are dropped."""
-    slots, saved = [p.slot for p in parts], [p.values for p in parts]
+    slots, saved = [p.slot for p in parts], [_saved(p) for p in parts]
     sw, sb, wv = w.slot, None if b is None else b.slot, w.values
 
     def bw(g):
@@ -251,7 +272,7 @@ def _linear_backward(parts, offs, w, b):
             gw = np.empty(sw.shape)
             # by index: a loop name bound to a part would keep it past clear()
             for i, (lo, hi) in enumerate(zip(offs, offs[1:])):
-                np.matmul(saved[i].reshape(-1, hi - lo).T, g2, out=gw[lo:hi])
+                np.matmul(_restore(saved[i], (-1, hi - lo)).T, g2, out=gw[lo:hi])
             _accum(sw, gw)
         saved.clear()
         for s, lo, hi in zip(slots, offs, offs[1:]):
@@ -283,7 +304,9 @@ def reshape(x, shape):
     def bw(g):
         _accum(sx, g.reshape(sx.shape))
 
-    return _make(x.values.reshape(shape), (x,), bw)
+    out = _make(x.values.reshape(shape), (x,), bw)
+    out.recipe = x.recipe
+    return out
 
 
 def _check_rows(op, idx, n_rows):
@@ -313,7 +336,9 @@ def gather_rows(table, idx):
     def bw(g):
         _accum(st, scatter_rows(st.shape[0], idx, g))
 
-    return _make(table.values[idx], (table,), bw)
+    out = _make(table.values[idx], (table,), bw)
+    out.recipe = (table.values, idx)
+    return out
 
 
 def add_rows(x, t, pos, parts=(), w=None, b=None):
@@ -470,13 +495,13 @@ def attention_scores(q, keys, idx):
             or idx.ndim != 2 or idx.shape[0] != q.shape[0]):
         raise ShapeError("attention_scores", q.shape, keys.shape, idx.shape)
     _check_rows("attention_scores", idx, keys.shape[0])
-    sq, sk, qv, kv = q.slot, keys.slot, q.values, keys.values
+    sq, sk, qs, kv = q.slot, keys.slot, _saved(q), keys.values
 
     def bw(g):
         _accum(sq, _indexed_pool(g, kv, idx))
-        _accum(sk, _scatter_outer(kv.shape[0], idx, g, qv))
+        _accum(sk, _scatter_outer(kv.shape[0], idx, g, _restore(qs, sq.shape)))
 
-    return _make(_indexed_dots(qv, kv, idx), (q, keys), bw)
+    return _make(_indexed_dots(q.values, kv, idx), (q, keys), bw)
 
 
 def attention_pool(s, rows, idx):

@@ -65,18 +65,22 @@ def train_model(corpus, sid_table, model_config, seed=0, train_config=None, toke
         total = 0.0
         for step, lo in enumerate(range(0, order.size, tc.batch_size)):
             batch = make_batch(corpus, stats_raw, order[lo:lo + tc.batch_size])
-            with dk.Tape() as tape:
-                loss, _ = model.loss(batch)
-                value = float(loss.values)
-                if not np.isfinite(value):  # before the step: keep NaN out of AdamW
-                    raise DivergenceError(f"variant {model_config.variant}: non-finite loss "
-                                          f"at epoch {epoch} step {step}")
-                # last step's gradients are freed only now, after this forward
-                # pass allocated around them: freed at the end of the step, the
-                # heap top they held went back to the OS and backward faulted it
-                # in again (about 1,200 more page faults per desk-sized step)
-                opt.zero_grad()
-                dk.backward(loss, tape)
+            where = f"at epoch {epoch} step {step}"
+            try:
+                with dk.Tape() as tape:
+                    loss, _ = model.loss(batch)
+                    value = float(loss.values)
+                    if not np.isfinite(value):  # before the step: keep NaN out of AdamW
+                        raise DivergenceError(f"variant {model.cfg.variant}: non-finite loss "
+                                              f"{where}")
+                    # last step's gradients are freed only now, after this forward
+                    # pass allocated around them: freed at the end of the step, the
+                    # heap top they held went back to the OS and backward faulted it
+                    # in again (about 1,200 more page faults per desk-sized step)
+                    opt.zero_grad()
+                    dk.backward(loss, tape)
+            except dk.NonFiniteError as exc:  # an op met a NaN or inf
+                raise DivergenceError(f"variant {model.cfg.variant}: {exc} {where}") from None
             opt.step()
             total += value * len(batch["target_ids"])
         curve.append(total / order.size)

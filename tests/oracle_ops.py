@@ -4,7 +4,9 @@ made of, the bias op that ``diffkernel.linear`` absorbed, kept as the
 reference of its one-part call, the concatenation that ``linear``'s parts
 and the model's one SID token table replaced, kept as the reference of
 both, and the dense InfoNCE composition that
-``diffkernel.info_nce`` replaced, kept as its reference implementation.
+``diffkernel.info_nce`` replaced, kept as its reference implementation,
+and the gather whose output carries no recipe, so its consumers save the
+gathered copy, as they all did before ``diffkernel.gather_rows`` carried one.
 Like diffkernel's ops, each backward closure holds its inputs' slots and
 the arrays it reads, never a Tensor. The composition's three ops
 (cosine_matrix, softmax_diag, tlog) each hold an (N, N) array. Also the
@@ -14,7 +16,7 @@ one."""
 import numpy as np
 
 import gatesid.diffkernel as dk
-from gatesid.diffkernel.tensor import _accum, _check_finite, _make
+from gatesid.diffkernel.tensor import _accum, _check_finite, _check_rows, _make
 
 
 def mul(a, b):
@@ -67,6 +69,21 @@ def concat(parts):
             _accum(sp, g[..., lo:hi])
 
     return _make(np.concatenate([p.values for p in parts], axis=-1), parts, bw)
+
+
+def gather_rows(table, idx):
+    """table[idx] for a 2-D table, without a recipe: the reference for
+    ``diffkernel.gather_rows``."""
+    if table.values.ndim != 2:
+        raise dk.ShapeError("gather_rows", table.shape)
+    idx = np.asarray(idx)
+    _check_rows("gather_rows", idx, table.shape[0])
+    st = table.slot
+
+    def bw(g):
+        _accum(st, dk.scatter_rows(st.shape[0], idx, g))
+
+    return _make(table.values[idx], (table,), bw)
 
 
 def cosine_matrix(a, b):

@@ -88,8 +88,16 @@ def test_model_config_derives_item_dim():
     ("rq_epochs=0", "config key 'rq_epochs': must be at least 1, got 0"),
     ("batch_size=0", "config key 'batch_size': must be at least 1, got 0"),
     ("rq_batch=-1", "config key 'rq_batch': must be at least 1, got -1"),
+    ("tau=0", "config key 'tau': must be above 0, got 0.0"),
+    ("tau=-0.1", "config key 'tau': must be above 0, got -0.1"),
+    ("tau=nan", "config key 'tau': must be finite, got nan"),
+    ("lr=nan", "config key 'lr': must be finite, got nan"),
+    ("lr=inf", "config key 'lr': must be finite, got inf"),
+    ("rq_lr=-inf", "config key 'rq_lr': must be finite, got -inf"),
+    ("token_target_norm=nan", "config key 'token_target_norm': must be finite, got nan"),
 ], ids=["variant", "seed", "no-variant", "no-seed", "deleted-variant", "deleted-ablate-variant",
-        "epochs", "rq-epochs", "batch-size", "rq-batch"])
+        "epochs", "rq-epochs", "batch-size", "rq-batch", "tau-zero", "tau-negative", "tau-nan",
+        "lr-nan", "lr-inf", "rq-lr-minus-inf", "run-level-float-nan"])
 def test_ablate_rejects_bad_list_entry(tmp_path, capsys, setting, message):
     with pytest.raises(config.ConfigError, match=re.escape(message)):
         config.build_config(None, [setting])
@@ -253,11 +261,13 @@ def test_loop_count_below_one_writes_nothing(tmp_path, capsys):
         return {p: file_hash(p) for p in map(str, tmp_path.rglob("*")) if os.path.isfile(p)}
 
     before = snapshot()
-    for stage, key in (("train-rqvae", "rq_epochs"), ("train-rqvae", "rq_batch"),
-                       ("train", "epochs"), ("train", "batch_size")):
-        code, out, err = run_cli(capsys, stage, "--config", cfg, "--set", f"{key}=0")
+    for stage, setting in (("train-rqvae", "rq_epochs=0"), ("train-rqvae", "rq_batch=0"),
+                           ("train", "epochs=0"), ("train", "batch_size=0"), ("train", "tau=0"),
+                           ("train", "tau=nan"), ("train", "lr=inf")):
+        key = setting.split("=")[0]
+        code, out, err = run_cli(capsys, stage, "--config", cfg, "--set", setting)
         assert code == 1 and out == "" and f"config key '{key}'" in err, err
-        assert snapshot() == before, key
+        assert snapshot() == before, setting
 
 
 def test_gen_data_deterministic_hashes(tmp_path, capsys):
@@ -595,6 +605,21 @@ def test_train_command_exits_on_non_finite_loss(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "train", "--config", cfg, "--seed", "3")
     assert code == 1 and out == ""
     assert "variant full: non-finite loss at epoch 0 step 2" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_command_names_the_step_of_an_op_failure(tmp_path, capsys):
+    # an lr that overflows the first update: an op of the next step's forward
+    # pass meets the non-finite values. numpy's overflow warnings are off:
+    # the test run's -W flags would make them errors, a plain run prints them
+    cfg = write_tiny_config(tmp_path)
+    for cmd in ("gen-data", "train-rqvae", "encode-sids"):
+        assert run_cli(capsys, cmd, "--config", cfg, "--seed", "3")[0] == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "train", "--config", cfg, "--seed", "3",
+                                 "--set", "lr=1e300")
+    assert code == 1 and out == ""
+    assert "variant full: sigmoid: non-finite input at epoch 0 step 1" in err, err
     assert not (tmp_path / "model.ckpt").exists()
 
 
