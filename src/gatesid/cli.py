@@ -1,5 +1,5 @@
 """Command line pipeline: corpus generation, quantizer training, SID
-assignment, ranking-model training, evaluation, ablations and exports.
+assignment, ranking-model training, evaluation and ablations.
 
 Every subcommand reads one flat RunConfig (defaults < config file < --set)
 and prints a single JSON summary line on success, which also carries the
@@ -22,7 +22,7 @@ from . import config as runcfg
 from . import evalkit, rqvae, synthcorpus
 from . import train as trainmod
 from . import diffkernel as dk
-from .model import GateSidModel, ModelConfig, token_init_from_codebook
+from .model import GateSidModel, token_init_from_codebook
 
 log = logging.getLogger("gatesid.cli")
 
@@ -98,6 +98,10 @@ def cmd_train(rc):
 def cmd_eval(rc):
     corpus = _load_corpus(rc)
     model = GateSidModel.load(rc.model_path)
+    if (model.n_items, model.n_users) != (corpus.n_items, corpus.n_users):
+        raise ValueError(f"{rc.model_path}: the checkpoint has {model.n_items} items and "
+                         f"{model.n_users} users, the corpus {rc.corpus_dir} has "
+                         f"{corpus.n_items} items and {corpus.n_users} users")
     report = evalkit.evaluate_model(corpus, model, rc.test_frac)
     dk.write_json(rc.report_path, report)
     return {"command": "eval", "report_path": rc.report_path,
@@ -126,50 +130,6 @@ def cmd_ablate(rc):
             "variants": variants, "seeds": seeds}
 
 
-def cmd_export_emb(rc):
-    model = GateSidModel.load(rc.model_path)
-    e_sid, e_item = model.item_embeddings()
-    ids = np.arange(1, e_sid.shape[0] + 1)
-    for path, emb in ((rc.emb_sid_csv, e_sid), (rc.emb_item_csv, e_item)):
-        dk.write_csv(path, ["item_id", *(f"v{i+1}" for i in range(emb.shape[1]))], ids, emb)
-    return {"command": "export-emb", "emb_sid_csv": rc.emb_sid_csv,
-            "emb_item_csv": rc.emb_item_csv, "n_items": int(e_sid.shape[0])}
-
-
-def toy_model_and_batch(seed=0):
-    """A 2-user / 4-item miniature for gradient checking."""
-    rng = np.random.default_rng([seed, 0x70F])
-    cfg = ModelConfig(sid_levels=4, sid_codes=8, d_token=4, d_user=4, attn_dim=4,
-                      gate_hidden=4, head_hidden1=8, head_hidden2=4)
-    sid_table = np.zeros((5, 4), dtype=np.int64)
-    sid_table[1:] = rng.integers(0, 8, size=(4, 4))
-    model = GateSidModel(4, 2, sid_table, cfg, seed=seed)
-    batch = {
-        "target_ids": np.array([1, 2, 3, 4]),
-        "hist_ids": np.array([[0, 2, 3], [0, 0, 1], [1, 2, 4], [0, 0, 0]]),
-        "user_ids": np.array([0, 1, 0, 1]),
-        "stats_raw": rng.uniform(0.0, 50.0, size=(4, 3)),
-        "click": np.array([1, 0, 1, 0]),
-        "pay": np.array([1, 0, 0, 0]),
-    }
-    model.fit_stat_norm(batch["stats_raw"])
-    return model, batch
-
-
-def cmd_grad_check(rc):
-    model, batch = toy_model_and_batch(seed=rc.seed)
-    # the contrastive weights are a stop-gradient quantity; freeze them so
-    # the checked loss is a pure function of the parameters
-    w0 = model.forward(batch)["w"].values.copy()
-    report = dk.grad_check(lambda: model.loss(batch, contrast_w=w0)[0], model.params)
-    worst = max(report["max_rel_error"].values())
-    if not report["passed"]:
-        raise RuntimeError(f"gradient check failed for {report['failed']} "
-                           f"(worst rel error {worst:.3e})")
-    return {"command": "grad-check", "passed": True,
-            "worst_rel_error": worst, "tolerance": report["tolerance"]}
-
-
 COMMANDS = {
     "gen-data": cmd_gen_data,
     "train-rqvae": cmd_train_rqvae,
@@ -177,8 +137,6 @@ COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "ablate": cmd_ablate,
-    "export-emb": cmd_export_emb,
-    "grad-check": cmd_grad_check,
 }
 
 

@@ -63,8 +63,6 @@ class RunConfig(dataclasses.make_dataclass("ModuleKeys", _module_keys())):
     report_path: str = "artifacts/report.json"
     ablation_json: str = "artifacts/ablation.json"
     ablation_csv: str = "artifacts/ablation.csv"
-    emb_sid_csv: str = "artifacts/emb_sid.csv"
-    emb_item_csv: str = "artifacts/emb_item.csv"
 
     # ranking model
     token_warm_start: bool = True

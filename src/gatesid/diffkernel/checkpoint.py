@@ -6,17 +6,19 @@ text artifacts go through the writers here too: every CSV through
 
 import json
 import os
-import tempfile
 import warnings
 
 import numpy as np
 
 
 def atomic_write_bytes(path, data):
-    """Write via temp file + rename so readers never see partial files."""
+    """Write via temp file + rename so readers never see partial files. The
+    file gets the mode ``open(path, "w")`` would give it: 0o666 masked by the
+    umask (``tempfile.mkstemp`` would give 0o600)."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -93,11 +95,27 @@ def save_arrays(path, arrays, meta=None):
 
 
 def load_arrays(path):
+    """(arrays, meta) of a ``save_arrays`` file. A first line that is not a
+    UTF-8 JSON manifest with ``meta`` and ``arrays``, an array entry without a
+    ``name`` or a ``shape`` (a list of non-negative integers), a truncated
+    blob or trailing bytes is an error that names the file."""
     with open(path, "rb") as f:
-        header = f.readline()
-        manifest = json.loads(header.decode("utf-8"))
+        try:
+            manifest = json.loads(f.readline().decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+            raise ValueError(f"{path}: the first line is not a UTF-8 JSON manifest") from None
+        for key in ("meta", "arrays"):
+            if not isinstance(manifest, dict) or key not in manifest:
+                raise ValueError(f"{path}: the manifest lacks '{key}'")
+        entries = manifest["arrays"]
+        if not (isinstance(entries, list) and all(
+                isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in e["shape"]) for e in entries)):
+            raise ValueError(f"{path}: the manifest's 'arrays' must list entries with a "
+                             "'name' and a 'shape' of non-negative integers")
         arrays = {}
-        for entry in manifest["arrays"]:
+        for entry in entries:
             shape = tuple(entry["shape"])
             n = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * n)

@@ -1,8 +1,6 @@
-"""AdamW with decoupled weight decay, plus a finite-difference gradient checker."""
+"""AdamW with decoupled weight decay."""
 
 import numpy as np
-
-from .tensor import Tape, backward
 
 _STEP_BLOCK = 1 << 15  # elements per AdamW update block (at least one row)
 
@@ -61,44 +59,3 @@ class AdamW:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-
-def grad_check(model_fn, params, step=1e-5, tolerance=1e-4):
-    """Compare tape gradients of ``model_fn()`` against central differences.
-
-    ``model_fn`` must be deterministic and read the parameters in ``params``
-    (a name -> Tensor dict) by reference. Returns a report dict with the max
-    relative error per parameter; relative error uses a unit floor so that
-    near-zero gradients are compared absolutely.
-    """
-    for p in params.values():
-        p.zero_grad()
-    with Tape() as tape:
-        loss = model_fn()
-        backward(loss, tape)
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
-                for k, p in params.items()}
-
-    errors = {}
-    for name, p in params.items():
-        flat = p.values.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = float(model_fn().values)
-            flat[i] = orig - step
-            dn = float(model_fn().values)
-            flat[i] = orig
-            numeric = (up - dn) / (2.0 * step)
-            a = analytic[name].reshape(-1)[i]
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, err)
-        errors[name] = worst
-
-    return {
-        "max_rel_error": errors,
-        "tolerance": tolerance,
-        "failed": sorted(k for k, e in errors.items() if e > tolerance),
-        "passed": all(e <= tolerance for e in errors.values()),
-    }

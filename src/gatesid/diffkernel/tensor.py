@@ -20,8 +20,9 @@ A ``gather_rows`` output carries its recipe ``(table values, idx)``, and
 saves a gathered input's recipe instead of its values, and the backward
 gathers the rows again. Contract: a table that a recipe reads must not
 change between a forward pass and its backward. ``AdamW.step`` runs after
-``backward``, and ``grad_check`` takes its analytic gradients before it
-perturbs anything.
+``backward``, and the test suite's finite-difference checker
+(``tests/oracle_ops.py``) takes its analytic gradients before it perturbs
+anything.
 """
 
 import numpy as np

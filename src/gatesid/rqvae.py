@@ -352,9 +352,10 @@ def load_codebook(path):
     """Returns (codebook, autoencoder params) of a ``save_codebook`` file."""
     arrays, _ = dk.load_arrays(path)
     params = {k[3:]: dk.Tensor(v) for k, v in arrays.items() if k.startswith("ae.")}
-    if not params:
-        raise ValueError(f"codebook file {path} lacks encoder weights; "
-                         "regenerate it with train-rqvae")
+    for what, missing in (("encoder weights", not params), ("codes", "codes" not in arrays)):
+        if missing:
+            raise ValueError(f"codebook file {path} lacks {what}; "
+                             "regenerate it with train-rqvae")
     return arrays["codes"], params
 
 

@@ -11,12 +11,15 @@ Like diffkernel's ops, each backward closure holds its inputs' slots and
 the arrays it reads, never a Tensor. The composition's three ops
 (cosine_matrix, softmax_diag, tlog) each hold an (N, N) array. Also the
 out-of-place AdamW update, the reference for ``AdamW.step``'s in-place
-one."""
+one, the finite-difference gradient checker that every tape op and the
+model's loss are checked against, and the toy model and batch that
+criterion 1 checks the loss on."""
 
 import numpy as np
 
 import gatesid.diffkernel as dk
 from gatesid.diffkernel.tensor import _accum, _check_finite, _check_rows, _make
+from gatesid.model import GateSidModel, ModelConfig
 
 
 def mul(a, b):
@@ -158,3 +161,64 @@ def adamw_step(values, grad, m, v, t, lr, b1, b2, eps, weight_decay):
     v_hat = v / (1.0 - b2**t)
     values -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return values, m, v
+
+
+def grad_check(model_fn, params, step=1e-5, tolerance=1e-4):
+    """Compare tape gradients of ``model_fn()`` against central differences.
+
+    ``model_fn`` must be deterministic and read the parameters in ``params``
+    (a name -> Tensor dict) by reference. Returns a report dict with the max
+    relative error per parameter; relative error uses a unit floor so that
+    near-zero gradients are compared absolutely.
+    """
+    for p in params.values():
+        p.zero_grad()
+    with dk.Tape() as tape:
+        loss = model_fn()
+        dk.backward(loss, tape)
+    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
+                for k, p in params.items()}
+
+    errors = {}
+    for name, p in params.items():
+        flat = p.values.reshape(-1)
+        worst = 0.0
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = float(model_fn().values)
+            flat[i] = orig - step
+            dn = float(model_fn().values)
+            flat[i] = orig
+            numeric = (up - dn) / (2.0 * step)
+            a = analytic[name].reshape(-1)[i]
+            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            worst = max(worst, err)
+        errors[name] = worst
+
+    return {
+        "max_rel_error": errors,
+        "tolerance": tolerance,
+        "failed": sorted(k for k, e in errors.items() if e > tolerance),
+        "passed": all(e <= tolerance for e in errors.values()),
+    }
+
+
+def toy_model_and_batch(seed=0):
+    """A 2-user / 4-item miniature for gradient checking."""
+    rng = np.random.default_rng([seed, 0x70F])
+    cfg = ModelConfig(sid_levels=4, sid_codes=8, d_token=4, d_user=4, attn_dim=4,
+                      gate_hidden=4, head_hidden1=8, head_hidden2=4)
+    sid_table = np.zeros((5, 4), dtype=np.int64)
+    sid_table[1:] = rng.integers(0, 8, size=(4, 4))
+    model = GateSidModel(4, 2, sid_table, cfg, seed=seed)
+    batch = {
+        "target_ids": np.array([1, 2, 3, 4]),
+        "hist_ids": np.array([[0, 2, 3], [0, 0, 1], [1, 2, 4], [0, 0, 0]]),
+        "user_ids": np.array([0, 1, 0, 1]),
+        "stats_raw": rng.uniform(0.0, 50.0, size=(4, 3)),
+        "click": np.array([1, 0, 1, 0]),
+        "pay": np.array([1, 0, 0, 0]),
+    }
+    model.fit_stat_norm(batch["stats_raw"])
+    return model, batch

@@ -14,9 +14,8 @@ import pytest
 
 import gatesid.diffkernel as dk
 from gatesid import cli, config, evalkit, rqvae, synthcorpus, train
-from gatesid.cli import toy_model_and_batch
 from gatesid.model import ModelConfig, GateSidModel, token_init_from_codebook
-from oracle_ops import concat, tsum
+from oracle_ops import concat, grad_check, toy_model_and_batch, tsum
 
 GOLDEN_SEED = 0
 SEEDS = (0, 1, 2)
@@ -83,8 +82,8 @@ def test_criterion_01_gradient_suite():
     def check(tag, fn, arrays):
         params = {f"{tag}{i}": dk.Tensor(a, requires_grad=True)
                   for i, a in enumerate(arrays)}
-        rep = dk.grad_check(lambda: fn(*params.values()), params,
-                            step=1e-5, tolerance=1e-4)
+        rep = grad_check(lambda: fn(*params.values()), params,
+                         step=1e-5, tolerance=1e-4)
         return max(rep["max_rel_error"].values())
 
     a = rng.normal(size=(3, 4))
@@ -136,8 +135,8 @@ def test_criterion_01_gradient_suite():
 
     model, batch = toy_model_and_batch(seed=GOLDEN_SEED)
     w0 = model.forward(batch)["w"].values.copy()
-    rep = dk.grad_check(lambda: model.loss(batch, contrast_w=w0)[0],
-                        model.params, step=1e-5, tolerance=1e-4)
+    rep = grad_check(lambda: model.loss(batch, contrast_w=w0)[0],
+                     model.params, step=1e-5, tolerance=1e-4)
     errs["toy_model_loss"] = max(rep["max_rel_error"].values())
 
     elapsed = time.time() - t0
@@ -381,11 +380,10 @@ def _run_pipeline(root):
     paths = {k: str(root / v) for k, v in
              [("corpus_dir", "corpus"), ("codebook_path", "codebook.rqv"),
               ("sid_table_path", "sids.csv"), ("model_path", "model.ckpt"),
-              ("report_path", "report.json"), ("emb_sid_csv", "emb_sid.csv"),
-              ("emb_item_csv", "emb_item.csv")]}
+              ("report_path", "report.json")]}
     cfgfile.write_text(PIPELINE_CFG
                        + "".join(f"{k}={v}\n" for k, v in paths.items()))
-    for cmd in ("gen-data", "train-rqvae", "encode-sids", "train", "eval", "export-emb"):
+    for cmd in ("gen-data", "train-rqvae", "encode-sids", "train", "eval"):
         code = cli.main([cmd, "--config", str(cfgfile), "--seed", "13"])
         assert code == 0, cmd
     digests = {}
@@ -403,4 +401,4 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     report_line(10, ok, f"bitwise-identical artifacts across reruns: "
                         f"{len(same)}/{len(first)} "
                         f"(codebook, SID table, checkpoint, report with its gate "
-                        f"curve, embeddings)")
+                        f"curve)")

@@ -199,8 +199,6 @@ model_path={root}/model.ckpt
 report_path={root}/report.json
 ablation_json={root}/ablation.json
 ablation_csv={root}/ablation.csv
-emb_sid_csv={root}/emb_sid.csv
-emb_item_csv={root}/emb_item.csv
 """ + extra
     path = tmp_path / name
     path.write_text(text)
@@ -218,12 +216,16 @@ def file_hash(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def tree_hashes(root):
+    return {p: file_hash(p) for p in map(str, root.rglob("*")) if os.path.isfile(p)}
+
+
 # stage input -> (stages run before, the stage that reads it, the missing file)
 MISSING_INPUTS = {
     "corpus": ([], "train", "corpus/items.csv"),
     "codebook": (["gen-data"], "encode-sids", "codebook.rqv"),
     "sids": (["gen-data"], "train", "sids.csv"),
-    "checkpoint": ([], "export-emb", "model.ckpt"),
+    "checkpoint": (["gen-data"], "eval", "model.ckpt"),
 }
 
 
@@ -257,17 +259,14 @@ def test_loop_count_below_one_writes_nothing(tmp_path, capsys):
     for cmd in ("gen-data", "train-rqvae", "encode-sids"):
         assert run_cli(capsys, cmd, "--config", cfg, "--seed", "3")[0] == 0
 
-    def snapshot():
-        return {p: file_hash(p) for p in map(str, tmp_path.rglob("*")) if os.path.isfile(p)}
-
-    before = snapshot()
+    before = tree_hashes(tmp_path)
     for stage, setting in (("train-rqvae", "rq_epochs=0"), ("train-rqvae", "rq_batch=0"),
                            ("train", "epochs=0"), ("train", "batch_size=0"), ("train", "tau=0"),
                            ("train", "tau=nan"), ("train", "lr=inf")):
         key = setting.split("=")[0]
         code, out, err = run_cli(capsys, stage, "--config", cfg, "--set", setting)
         assert code == 1 and out == "" and f"config key '{key}'" in err, err
-        assert snapshot() == before, setting
+        assert tree_hashes(tmp_path) == before, setting
 
 
 def test_gen_data_deterministic_hashes(tmp_path, capsys):
@@ -292,17 +291,9 @@ def test_summary_carries_time_and_peak_rss(tmp_path, capsys):
     assert 10 < summary["peak_rss_mb"] < 10_000
 
 
-def test_grad_check_command(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "grad-check")
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["passed"] is True
-    assert summary["worst_rel_error"] <= summary["tolerance"]
-
-
 def test_full_pipeline_end_to_end(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
-    seq = ["gen-data", "train-rqvae", "encode-sids", "train", "eval", "export-emb"]
+    seq = ["gen-data", "train-rqvae", "encode-sids", "train", "eval"]
     summaries = {}
     for cmd in seq:
         code, out, err = run_cli(capsys, cmd, "--config", cfg, "--seed", "11")
@@ -323,12 +314,6 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     curve = report["gate"]["age_curve"]
     assert [set(row) for row in curve] == [{"age_lo", "age_hi", "n", "mean_w"}] * len(curve)
     assert sum(row["n"] for row in curve) == 150
-
-    with open(tmp_path / "emb_sid.csv") as f:
-        header = f.readline().strip()
-        row = f.readline().strip().split(",")
-    assert header == "item_id," + ",".join(f"v{i+1}" for i in range(24))
-    assert row[0] == "1" and len(row) == 25
 
     table = rqvae.load_sid_table(str(tmp_path / "sids.csv"), 150, 8, 3)
     assert table.shape == (151, 3)
@@ -373,6 +358,60 @@ def test_encode_sids_requires_encoder_weights(tmp_path, capsys):
     code, _, err = run_cli(capsys, "encode-sids", "--config", cfg)
     assert code == 1
     assert "lacks encoder weights" in err
+
+
+# case -> (stage, the config key naming the file, its name, its bytes or None for the
+# SID table that save_sid_table writes there, message)
+MALFORMED_CONTAINERS = {
+    "sid-table-as-checkpoint": ("eval", "model_path", "sids.csv", None,
+                                "the first line is not a UTF-8 JSON manifest"),
+    "manifest-without-meta": ("eval", "model_path", "model.ckpt", b'{"arrays": []}\n',
+                              "the manifest lacks 'meta'"),
+    "array-without-shape": ("eval", "model_path", "model.ckpt",
+                            b'{"arrays": [{"name": "a"}], "meta": {}}\n',
+                            "entries with a 'name' and a 'shape'"),
+    "codebook-without-codes": ("encode-sids", "codebook_path", "codebook.rqv",
+                               b'{"arrays": [{"name": "ae.w", "shape": [1]}], "meta": {}}\n'
+                               + bytes(8), "lacks codes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONTAINERS))
+def test_malformed_container_names_the_file(tmp_path, capsys, case):
+    stage, key, name, data, message = MALFORMED_CONTAINERS[case]
+    cfg = write_tiny_config(tmp_path)
+    assert run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3")[0] == 0
+    path = tmp_path / name
+    if data is None:
+        rqvae.save_sid_table(str(path), np.r_[1:151], np.zeros((150, 3), dtype=int))
+    else:
+        path.write_bytes(data)
+    before = tree_hashes(tmp_path)
+    code, out, err = run_cli(capsys, stage, "--config", cfg, "--set", f"{key}={path}")
+    assert code == 1 and out == ""
+    assert str(path) in err and message in err, err
+    assert tree_hashes(tmp_path) == before
+
+
+@pytest.mark.parametrize("shaped_for, scored_on", [("a", "b"), ("b", "a")])
+def test_eval_refuses_a_checkpoint_of_another_corpus(tmp_path, capsys, shaped_for, scored_on):
+    counts = {"a": (150, 40), "b": (100, 30)}  # (items, users) of two tiny corpora
+    cfg = write_tiny_config(tmp_path)
+    for name, (n_items, n_users) in counts.items():
+        assert run_cli(capsys, "gen-data", "--config", cfg, "--seed", "3",
+                       "--set", f"corpus_dir={tmp_path}/{name}", "--set", f"n_items={n_items}",
+                       "--set", f"n_users={n_users}")[0] == 0
+    (n_ckpt, u_ckpt), (n_data, u_data) = counts[shaped_for], counts[scored_on]
+    rc = config.build_config(cfg)
+    ckpt = tmp_path / "model.ckpt"
+    GateSidModel(n_ckpt, u_ckpt, np.zeros((n_ckpt + 1, rc.rq_levels), dtype=np.int64),
+                 config.model_config(rc)).save(str(ckpt))
+    code, out, err = run_cli(capsys, "eval", "--config", cfg,
+                             "--set", f"corpus_dir={tmp_path}/{scored_on}")
+    assert code == 1 and out == ""
+    assert err == (f"error: {ckpt}: the checkpoint has {n_ckpt} items and {u_ckpt} users, "
+                   f"the corpus {tmp_path}/{scored_on} has {n_data} items and {u_data} users\n")
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("item_ids, levels, bad_codes, bad_line, message", [
@@ -661,6 +700,23 @@ def test_ablate_command_exits_on_a_failed_cell(tmp_path, capsys, monkeypatch):
     assert 0.0 < payload["cells"]["full:1"]["metrics"]["ctr"]["all"]["auc"] < 1.0
     with open(tmp_path / "ablation.csv") as f:
         assert f.read().splitlines()[2] == "no_grca,,,,"
+
+
+def test_readme_command_block_lists_the_cli_commands():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## Pipeline", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("gatesid ")]
+    assert listed == list(cli.COMMANDS) == [
+        "gen-data", "train-rqvae", "encode-sids", "train", "eval", "ablate"]
+
+
+@pytest.mark.parametrize("command", ["grad-check", "export-emb"])
+def test_removed_commands_are_unknown(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_log_level_env(monkeypatch):

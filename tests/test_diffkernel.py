@@ -16,7 +16,7 @@ from gatesid.diffkernel.optim import _STEP_BLOCK
 from gatesid.diffkernel.tensor import _NCE_BLOCK
 from gatesid.model import VARIANTS, GateSidModel, ModelConfig
 from oracle_ops import (adamw_step, add_bias, composed_info_nce, concat, cosine_matrix,
-                        mul, softmax_diag, tlog, tsum)
+                        grad_check, mul, softmax_diag, tlog, tsum)
 
 
 RNG = np.random.default_rng(12345)
@@ -25,7 +25,7 @@ RNG = np.random.default_rng(12345)
 def fd_check(fn, arrays, tol=1e-6):
     """Finite-difference check of a scalar-valued tensor function."""
     params = {f"p{i}": dk.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
-    report = dk.grad_check(lambda: fn(*params.values()), params, tolerance=tol)
+    report = grad_check(lambda: fn(*params.values()), params, tolerance=tol)
     assert report["passed"], report
 
 
@@ -1215,7 +1215,7 @@ def test_adamw_missing_grad_raises():
 def test_grad_check_quadratic_is_near_exact():
     x = RNG.normal(size=(3, 3))
     params = {"x": dk.Tensor(x, requires_grad=True)}
-    report = dk.grad_check(lambda: tsum(dk.square(params["x"])), params)
+    report = grad_check(lambda: tsum(dk.square(params["x"])), params)
     assert report["passed"]
     assert report["max_rel_error"]["x"] <= 1e-8
 
@@ -1258,3 +1258,18 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     with open(path) as f:
         assert f.read() == "hello\n"
     assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_writers_give_the_mode_the_umask_allows(tmp_path, umask, mode):
+    # the mode open(path, "w") gives a new file: 0o666 masked by the umask
+    old = os.umask(umask)
+    try:
+        dk.write_csv(str(tmp_path / "a.csv"), ["x"], np.arange(3))
+        dk.write_json(str(tmp_path / "b.json"), {"x": 1})
+        dk.save_arrays(str(tmp_path / "c.bin"), {"x": np.zeros(2)})
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["a.csv", "b.json", "c.bin"], mode)
