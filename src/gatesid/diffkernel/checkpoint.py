@@ -5,6 +5,7 @@ text artifacts go through the writers here too: every CSV through
 ``write_json``, and both through the atomic writers."""
 
 import json
+import math
 import os
 import warnings
 
@@ -97,8 +98,11 @@ def save_arrays(path, arrays, meta=None):
 def load_arrays(path):
     """(arrays, meta) of a ``save_arrays`` file. A first line that is not a
     UTF-8 JSON manifest with ``meta`` and ``arrays``, an array entry without a
-    ``name`` or a ``shape`` (a list of non-negative integers), a truncated
-    blob or trailing bytes is an error that names the file."""
+    ``name`` or a ``shape`` (a list of non-negative integers), a manifest
+    whose arrays need more bytes than the file holds after it, or trailing
+    bytes is an error that names the file. The sizes are checked before any
+    blob is read, so a manifest's shapes never size an allocation the file
+    cannot fill."""
     with open(path, "rb") as f:
         try:
             manifest = json.loads(f.readline().decode("utf-8"))
@@ -114,14 +118,18 @@ def load_arrays(path):
                 and all(type(n) is int and n >= 0 for n in e["shape"]) for e in entries)):
             raise ValueError(f"{path}: the manifest's 'arrays' must list entries with a "
                              "'name' and a 'shape' of non-negative integers")
+        left, end = os.fstat(f.fileno()).st_size - f.tell(), 0
+        for entry in entries:
+            end += 8 * math.prod(entry["shape"])
+            if end > left:
+                raise ValueError(f"{path}: array '{entry['name']}' does not fit: the arrays "
+                                 f"up to it need {end} bytes, the file holds {left} after "
+                                 "the manifest")
+        if end < left:
+            raise IOError(f"{path}: trailing bytes after the last array")
         arrays = {}
         for entry in entries:
             shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise IOError(f"{path}: truncated blob for array '{entry['name']}'")
+            buf = f.read(8 * math.prod(shape))
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if f.read(1):
-            raise IOError(f"{path}: trailing bytes after the last array")
     return arrays, manifest["meta"]

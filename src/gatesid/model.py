@@ -8,8 +8,10 @@ cross attention and no value projection). Pooled vectors, target
 embeddings, stats and the user embedding feed a 3-layer relu MLP with two
 sigmoid heads (click, click-and-pay). An in-batch InfoNCE loss between each
 item's semantic-ID embedding and its id embedding, weighted per instance by
-the (detached) gate value, aligns the two spaces; the total objective is
-rank loss + lambda * alignment loss.
+the (detached) gate value, aligns the two spaces. It is one-sided: the
+semantic-ID side is a stop-gradient, so semantics teach the id embedding
+and the alignment never pulls shared SID tokens toward under-trained id
+rows. The total objective is rank loss + lambda * alignment loss.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -284,10 +286,15 @@ class GateSidModel:
         """Gate-weighted in-batch InfoNCE over distinct items: row i of e_sid
         and of e_item embed one item, and w[i] is its weight.
 
-        w enters as a per-instance constant: the gate stays trainable through
-        the fused attention, but cannot shrink the alignment loss directly.
+        One-sided: e_sid enters as a constant (a stop-gradient), so the
+        semantic IDs teach the ID embedding and only e_item takes the
+        alignment's gradient; the SID tokens still train through attention
+        and the head. w enters as a per-instance constant too: the gate stays
+        trainable through the fused attention, but cannot shrink the
+        alignment loss directly.
         """
-        return dk.affine(dk.info_nce(e_sid, e_item, w, self.cfg.tau), 1.0 / len(w))
+        return dk.affine(dk.info_nce(dk.detach(e_sid), e_item, w, self.cfg.tau),
+                         1.0 / len(w))
 
     def loss(self, batch, contrast_w=None):
         """Total objective on one batch. Returns (total, parts dict).

@@ -245,21 +245,21 @@ STAT_FEATURES = ("online_duration_days", "exposures_7d", "clicks_7d")
 
 
 def _window_counts(corpus, window_days=7):
-    """Per (item, day) trailing-window exposure and click counts."""
+    """Per (item, day d) exposure and click counts over days [d - window_days,
+    d - 1]: point in time, so no impression of day d, and so no label that an
+    impression of day d is scored against, is ever counted."""
     n_items = corpus.n_items
     n_days = corpus.config.n_days
     expo = np.zeros((n_items + 1, n_days))
     clk = np.zeros((n_items + 1, n_days))
     np.add.at(expo, (corpus.imp_item, corpus.imp_ts), 1.0)
     np.add.at(clk, (corpus.imp_item, corpus.imp_ts), corpus.imp_click.astype(float))
+    lo = np.maximum(np.arange(n_days) - window_days, 0)
 
     def window(counts):
-        # day d sums days (d - window_days, d]: the running total at d minus
-        # the one window_days earlier (zero before that)
-        total = counts.cumsum(axis=1)
-        earlier = np.zeros_like(total)
-        earlier[:, window_days:] = total[:, :-window_days]
-        return total - earlier
+        before = np.zeros((counts.shape[0], n_days + 1))  # before[:, d] sums days < d
+        np.cumsum(counts, axis=1, out=before[:, 1:])
+        return before[:, :-1] - before[:, lo]
 
     return window(expo), window(clk)
 
@@ -275,12 +275,13 @@ def _stat_features(corpus, item_ids, days):
 
 
 def impression_stat_features(corpus):
-    """Raw stat features for every impression, as of each impression's day."""
+    """Raw stat features for every impression, as of the start of its day."""
     return _stat_features(corpus, corpus.imp_item, corpus.imp_ts)
 
 
 def item_stat_features(corpus):
-    """Raw stat features for every item at the end of the log (row i = item i+1)."""
+    """Raw stat features for every item as of the start of the log's last day
+    (row i = item i+1)."""
     ids = np.arange(1, corpus.n_items + 1)
     return _stat_features(corpus, ids, np.full(ids.size, corpus.config.n_days - 1))
 

@@ -133,8 +133,14 @@ def test_criterion_01_gradient_suite():
             [a, b[:2], rng.normal(size=(3, 2)), rng.normal(size=(2, 4)), rng.normal(size=4)]),
     }
 
+    # the loss's stop-gradients are frozen at their unperturbed values, the
+    # gate weights through contrast_w and InfoNCE's e_sid input here, so the
+    # finite differences and the tape differentiate one function
     model, batch = toy_model_and_batch(seed=GOLDEN_SEED)
-    w0 = model.forward(batch)["w"].values.copy()
+    out = model.forward(batch)
+    w0, sid0 = out["w"].values.copy(), out["e_sid"].values.copy()
+    contrastive = model.contrastive_loss
+    model.contrastive_loss = lambda e_sid, e_item, w: contrastive(dk.constant(sid0), e_item, w)
     rep = grad_check(lambda: model.loss(batch, contrast_w=w0)[0],
                      model.params, step=1e-5, tolerance=1e-4)
     errs["toy_model_loss"] = max(rep["max_rel_error"].values())

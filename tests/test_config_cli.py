@@ -370,6 +370,10 @@ MALFORMED_CONTAINERS = {
     "array-without-shape": ("eval", "model_path", "model.ckpt",
                             b'{"arrays": [{"name": "a"}], "meta": {}}\n',
                             "entries with a 'name' and a 'shape'"),
+    # read as sized, this shape would allocate 8 TB before the short file showed
+    "shape-beyond-the-file": ("eval", "model_path", "model.ckpt",
+                              b'{"arrays": [{"name": "a", "shape": [1000000000000]}], '
+                              b'"meta": {}}\n' + bytes(8), "array 'a' does not fit"),
     "codebook-without-codes": ("encode-sids", "codebook_path", "codebook.rqv",
                                b'{"arrays": [{"name": "ae.w", "shape": [1]}], "meta": {}}\n'
                                + bytes(8), "lacks codes"),

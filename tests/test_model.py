@@ -588,6 +588,17 @@ def test_contrastive_deduplicates_repeated_items(monkeypatch):
         assert same_bits(got[2], model.forward(batch)["w"].values[[0, 1], 0]), variant
 
 
+def test_contrastive_gradient_reaches_only_the_item_embedding():
+    # the alignment is one-sided: e_sid is a stop-gradient, e_item trains
+    model = tiny_model()
+    with dk.Tape() as tape:
+        _, parts = model.loss(tiny_batch(model))
+        dk.backward(parts["contrastive"], tape)
+    assert model.params["sid_emb"].grad is None
+    assert model.params["item_emb"].grad is not None
+    assert np.any(model.params["item_emb"].grad != 0)
+
+
 def test_contrastive_weights_scale_loss():
     model = tiny_model()
     rng = np.random.default_rng(6)

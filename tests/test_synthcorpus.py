@@ -148,7 +148,8 @@ def test_cold_ctr_tracks_content_affinity():
 
 
 def _brute_force_stats(corpus, window=7):
-    """Independent per-impression tally of (duration, exposures_7d, clicks_7d)."""
+    """Independent per-impression tally of (duration, exposures_7d, clicks_7d),
+    the counts over the window days before the impression's day."""
     n = corpus.imp_user.size
     out = np.zeros((n, 3))
     for i in range(n):
@@ -156,7 +157,7 @@ def _brute_force_stats(corpus, window=7):
         day = corpus.imp_ts[i]
         days_back = corpus.config.n_days - 1 - day
         out[i, 0] = max(0, corpus.item_age[it - 1] - days_back)
-        sel = (corpus.imp_item == it) & (corpus.imp_ts > day - window) & (corpus.imp_ts <= day)
+        sel = (corpus.imp_item == it) & (corpus.imp_ts >= day - window) & (corpus.imp_ts < day)
         out[i, 1] = sel.sum()
         out[i, 2] = corpus.imp_click[sel].sum()
     return out
@@ -173,9 +174,8 @@ def test_item_stats_no_events_and_click_bound(small_corpus):
     assert stats.shape == (small_corpus.n_items, 3)
     assert np.all(stats[:, 2] <= stats[:, 1])  # clicks never exceed exposures
     last = small_corpus.config.n_days - 1
-    lo = last - 7
     quiet = np.ones(small_corpus.n_items, dtype=bool)
-    recent = (small_corpus.imp_ts > lo) & (small_corpus.imp_ts <= last)
+    recent = (small_corpus.imp_ts >= last - 7) & (small_corpus.imp_ts < last)
     quiet[small_corpus.imp_item[recent] - 1] = False
     if quiet.any():
         assert np.all(stats[quiet, 1] == 0)
@@ -187,11 +187,27 @@ def test_compute_stat_features_hand_tally(small_corpus):
     day = int(small_corpus.imp_ts[10])
     got = synthcorpus.impression_stat_features(small_corpus)[10]
     sel = ((small_corpus.imp_item == it)
-           & (small_corpus.imp_ts > day - 7) & (small_corpus.imp_ts <= day))
+           & (small_corpus.imp_ts >= day - 7) & (small_corpus.imp_ts < day))
     days_back = small_corpus.config.n_days - 1 - day
     assert got[0] == max(0, small_corpus.item_age[it - 1] - days_back)
     assert got[1] == sel.sum()
     assert got[2] == small_corpus.imp_click[sel].sum()
+
+
+def test_stat_features_read_nothing_of_the_day_scored_or_later(small_corpus):
+    # a guard against the next label leak: moving every impression of day d
+    # or later to another item and flipping its click changes no item's
+    # features as of day d, while it does change those of day d + 1
+    c = small_corpus
+    ids = np.arange(1, c.n_items + 1)
+    day = c.config.n_days // 2
+    late = c.imp_ts >= day
+    moved = dataclasses.replace(c, imp_item=np.where(late, c.imp_item % c.n_items + 1, c.imp_item),
+                                imp_click=np.where(late, 1 - c.imp_click, c.imp_click))
+    for d, same in ((day, True), (day + 1, False)):
+        days = np.full(ids.size, d)
+        got, want = (synthcorpus._stat_features(k, ids, days) for k in (moved, c))
+        assert np.array_equal(got, want) == same, d
 
 
 # ---------------------------------------------------------------------------
