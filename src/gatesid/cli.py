@@ -44,11 +44,8 @@ def _load_corpus(rc):
 
 
 def _token_init(rc):
-    if not rc.token_warm_start:
-        return None
     codebook, _ = rqvae.load_codebook(rc.codebook_path)
-    return token_init_from_codebook(codebook, rc.d_token,
-                                    target_norm=rc.token_target_norm)
+    return token_init_from_codebook(codebook, rc.d_token)
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,6 @@ class RunConfig(dataclasses.make_dataclass("ModuleKeys", _module_keys())):
     ablation_json: str = "artifacts/ablation.json"
     ablation_csv: str = "artifacts/ablation.csv"
 
-    # ranking model
-    token_warm_start: bool = True
-    token_target_norm: float = 4.0
-
     # ablation harness
     ablate_variants: str = "full,no_grca,no_gfsa,avg_fusion"
     ablate_seeds: str = "0,1,2"
@@ -77,17 +73,8 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key, text):
-    typ = _FIELDS[key].type
-    text = text.strip()
     try:
-        if typ is bool:
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        return typ(text)
+        return _FIELDS[key].type(text.strip())
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from None
 
@@ -116,8 +103,9 @@ def parse_config_text(text, source="<config>"):
 
 def build_config(config_path=None, overrides=None):
     """Defaults, then file values, then --set overrides (highest precedence).
-    An unknown variant, a loop count below 1, a float that is not finite or a
-    tau that is not above 0 is a ConfigError naming the key."""
+    An unknown variant, an int other than seed below 1, a float that is not
+    finite, a tau that is not above 0 or a cold_fraction outside [0, 1] is a
+    ConfigError naming the key."""
     values = {}
     if config_path is not None:
         try:
@@ -131,14 +119,17 @@ def build_config(config_path=None, overrides=None):
         values[key] = val
     cfg = RunConfig(**values)
     ablation_grid(cfg)  # checks variant too
-    for key in ("epochs", "rq_epochs", "batch_size", "rq_batch"):  # before any stage runs
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"config key '{key}': must be at least 1, got {getattr(cfg, key)}")
-    for key, f in _FIELDS.items():
-        if f.type is float and not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"config key '{key}': must be finite, got {getattr(cfg, key)}")
+    for key, f in _FIELDS.items():  # before any stage runs
+        v = getattr(cfg, key)
+        if f.type is int and key != "seed" and v < 1:  # a size or a loop count
+            raise ConfigError(f"config key '{key}': must be at least 1, got {v}")
+        if f.type is float and not math.isfinite(v):
+            raise ConfigError(f"config key '{key}': must be finite, got {v}")
     if cfg.tau <= 0:  # InfoNCE divides by it
         raise ConfigError(f"config key 'tau': must be above 0, got {cfg.tau}")
+    if not 0 <= cfg.cold_fraction <= 1:
+        raise ConfigError(f"config key 'cold_fraction': must be in [0, 1], "
+                          f"got {cfg.cold_fraction}")
     return cfg
 
 

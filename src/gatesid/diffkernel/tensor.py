@@ -15,11 +15,11 @@ each op output's gradient once its op has consumed it: after ``backward``
 only leaves keep ``.grad``.
 
 A ``gather_rows`` output carries its recipe ``(table values, idx)``, and
-``reshape`` and ``detach`` pass it on. An op that saves an input for its
-backward (``linear``'s and ``add_rows``' linear term, ``attention_scores``'
-query, both of ``info_nce``'s inputs) saves a gathered input's recipe
-instead of its values, and the backward gathers the rows again. Contract:
-a table that a recipe reads must not change between a forward pass and its
+``reshape`` passes it on. An op that saves an input for its backward
+(``linear``'s and ``add_rows``' linear term, ``attention_scores``' query,
+both of ``info_nce``'s inputs) saves a gathered input's recipe instead of
+its values, and the backward gathers the rows again. Contract: a table
+that a recipe reads must not change between a forward pass and its
 backward. ``AdamW.step`` runs after ``backward``, and the test suite's
 finite-difference checker (``tests/oracle_ops.py``) takes its analytic
 gradients before it perturbs anything.
@@ -106,14 +106,6 @@ class Tensor:
 
 def constant(values):
     return Tensor(values, requires_grad=False)
-
-
-def detach(x):
-    """x's values as a constant: a stop-gradient. A gathered x's recipe comes
-    along, so an op that saves the constant saves the recipe, not a copy."""
-    out = constant(x.values)
-    out.recipe = x.recipe
-    return out
 
 
 def glorot(rng, fan_in, fan_out):
@@ -548,12 +540,6 @@ def scale_rows(s, w):
 _NCE_BLOCK = 256
 
 
-def _unit_norm_grad(g, xn, norm):
-    """In place: d/d(x / norm) to d/dx by rows, (g - (g . xn) xn) / norm."""
-    g -= (g * xn).sum(axis=1, keepdims=True) * xn
-    g /= norm
-
-
 def _nce_panels(an, bn, tau):
     """(lo, blk, p) per panel of _NCE_BLOCK rows of an, blk their slice: p is
     the row softmax of an[blk] . bn^T / tau, built the same way, so to the
@@ -573,14 +559,13 @@ def info_nce(a, b, w, tau):
     """Weighted in-batch InfoNCE of paired rows a, b (N,d) with constant
     weights w (N,): sum_i w[i] * -log softmax(cos(a, b) / tau)[i, i].
 
-    The forward pass builds the score panels for the diagonal alone and
-    keeps only the row norms and what ``_saved`` keeps of a and b, so no
-    (N, d) array waits on the tape for the backward pass. That pass builds
-    the same panels again, bit for bit, and pushes d loss / d cos =
-    w[i] / tau * (p[i, j] - [i == j]) through the GEMMs: each panel's rows
-    of a's gradient finished at once, its part of b's through one reused
-    (N, d) buffer. Only an input that requires a gradient gets one: a
-    constant input costs no gradient array and no GEMM.
+    One-sided: a is the anchor, a stop-gradient whether or not it requires a
+    gradient, and only b gets one. The forward pass builds the score panels
+    for the diagonal alone and keeps only the row norms and what ``_saved``
+    keeps of a and b, so no (N, d) array waits on the tape for the backward
+    pass. That pass builds the same panels again, bit for bit, and pushes
+    d loss / d cos = w[i] / tau * (p[i, j] - [i == j]) through one GEMM per
+    panel into one reused (N, d) buffer.
     """
     w = np.asarray(w, dtype=np.float64)
     if a.values.ndim != 2 or a.shape != b.shape or w.shape != a.shape[:1]:
@@ -597,31 +582,25 @@ def info_nce(a, b, w, tau):
         del p  # before the next panel is built
     if np.any(diag <= 0):
         raise ValueError("info_nce: a diagonal probability underflows to 0")
-    sa, sb, c, saved = a.slot, b.slot, w / tau, [_saved(a), _saved(b)]
+    sb, c, saved = b.slot, w / tau, [_saved(a), _saved(b)]
 
     def bw(g):
-        an, bn = _restore(saved[0], sa.shape) / na, _restore(saved[1], sb.shape) / nb
+        an, bn = _restore(saved[0], sb.shape) / na, _restore(saved[1], sb.shape) / nb
         saved.clear()
-        ga = np.empty_like(an) if sa.requires_grad else None
-        gb, panel = (np.zeros_like(bn), np.empty_like(bn)) if sb.requires_grad else (None, None)
+        gb, panel = np.zeros_like(bn), np.empty_like(bn)
         for lo, blk, p in _nce_panels(an, bn, tau):
             rows = np.arange(p.shape[0])
             p *= c[blk, None]
             p[rows, lo + rows] -= c[blk]
-            if ga is not None:
-                _unit_norm_grad(np.matmul(p, bn, out=ga[blk]), an[blk], na[blk])
-            if gb is not None:
-                gb += np.matmul(p.T, an[blk], out=panel)
+            gb += np.matmul(p.T, an[blk], out=panel)
             del p
-        if gb is not None:
-            for lo in range(0, gb.shape[0], _NCE_BLOCK):
-                blk = slice(lo, lo + _NCE_BLOCK)
-                _unit_norm_grad(gb[blk], bn[blk], nb[blk])
-        for s, gx in ((sa, ga), (sb, gb)):  # the op's own: scaled in place, then adopted
-            if gx is not None:
-                _accum(s, np.multiply(gx, g, out=gx))
+        for lo in range(0, gb.shape[0], _NCE_BLOCK):  # d/d(b / nb) to d/db, in place
+            g_b, b_n = gb[lo:lo + _NCE_BLOCK], bn[lo:lo + _NCE_BLOCK]
+            g_b -= (g_b * b_n).sum(axis=1, keepdims=True) * b_n
+            g_b /= nb[lo:lo + _NCE_BLOCK]
+        _accum(sb, np.multiply(gb, g, out=gb))  # the op's own: scaled in place, then adopted
 
-    return _make(np.asarray(((0.0 - np.log(diag)) * w).sum()), (a, b), bw)
+    return _make(np.asarray(((0.0 - np.log(diag)) * w).sum()), (b,), bw)
 
 
 def bce_with_logits(logits, labels):

@@ -8,7 +8,7 @@ cross attention and no value projection). Pooled vectors, target
 embeddings, stats and the user embedding feed a 3-layer relu MLP with two
 sigmoid heads (click, click-and-pay). An in-batch InfoNCE loss between each
 item's semantic-ID embedding and its id embedding, weighted per instance by
-the (detached) gate value, aligns the two spaces. It is one-sided: the
+the gate value (a constant), aligns the two spaces. It is one-sided: the
 semantic-ID side is a stop-gradient, so semantics teach the id embedding
 and the alignment never pulls shared SID tokens toward under-trained id
 rows. The total objective is rank loss + lambda * alignment loss.
@@ -23,14 +23,17 @@ from .synthcorpus import STAT_FEATURES
 
 VARIANTS = ("full", "no_grca", "no_gfsa", "avg_fusion")
 
+# mean concatenated row norm of the warm-started SID token table
+TOKEN_INIT_NORM = 4.0
 
-def token_init_from_codebook(level_codes, d_token, target_norm=4.0):
+
+def token_init_from_codebook(level_codes, d_token):
     """Warm-start the SID token table from quantizer code vectors.
 
     The (L, K, d_z) codes are zero-padded or truncated to d_token, and the
     whole table is rescaled so the mean concatenated row norm equals
-    target_norm. Returns the (L * K, d_token) table, row k * K + c for code c
-    at level k. Keeps the code geometry (similar content -> similar tokens)
+    TOKEN_INIT_NORM. Returns the (L * K, d_token) table, row k * K + c for
+    code c at level k. Keeps the code geometry (similar content -> similar tokens)
     while giving attention scores a usable scale from the first step.
     """
     codes = np.asarray(level_codes, dtype=np.float64)
@@ -39,7 +42,7 @@ def token_init_from_codebook(level_codes, d_token, target_norm=4.0):
     concat_norm = np.sqrt((t ** 2).sum(axis=2).mean(axis=1).sum())
     if concat_norm <= 0:
         raise ValueError("token_init_from_codebook: all-zero codebooks")
-    return (t * (target_norm / concat_norm)).reshape(-1, d_token)
+    return (t * (TOKEN_INIT_NORM / concat_norm)).reshape(-1, d_token)
 
 
 @dataclass
@@ -286,35 +289,29 @@ class GateSidModel:
         """Gate-weighted in-batch InfoNCE over distinct items: row i of e_sid
         and of e_item embed one item, and w[i] is its weight.
 
-        One-sided: e_sid enters as a constant (a stop-gradient), so the
+        One-sided: e_sid is InfoNCE's anchor, a stop-gradient, so the
         semantic IDs teach the ID embedding and only e_item takes the
         alignment's gradient; the SID tokens still train through attention
         and the head. w enters as a per-instance constant too: the gate stays
         trainable through the fused attention, but cannot shrink the
         alignment loss directly.
         """
-        return dk.affine(dk.info_nce(dk.detach(e_sid), e_item, w, self.cfg.tau),
-                         1.0 / len(w))
+        return dk.affine(dk.info_nce(e_sid, e_item, w, self.cfg.tau), 1.0 / len(w))
 
-    def loss(self, batch, contrast_w=None):
+    def loss(self, batch):
         """Total objective on one batch. Returns (total, parts dict).
 
         The alignment loss runs between the forward pass's target and
         scoring parts, where its inputs are ready and before the history
         pool's and the head's arrays exist, so its working arrays never sit
-        on top of them.
-
-        ``contrast_w`` overrides the per-instance contrastive weights with a
-        fixed array. The weights are a stop-gradient quantity either way; the
-        override makes the loss a pure function of the remaining parameters,
-        which is what a finite-difference gradient check needs.
+        on top of them. Each distinct target's contrastive weight is its
+        first impression's gate value.
         """
         t = self._targets(batch)
         l_cl = None
         if self.cfg.lam > 0.0 and self.cfg.variant != "no_grca":
-            # each distinct target weighted by its first impression's gate value
-            w_cl = t["w"].values if contrast_w is None else np.asarray(contrast_w)
-            l_cl = self.contrastive_loss(t["e_sid"], t["e_item"], w_cl.reshape(-1)[t["first"]])
+            l_cl = self.contrastive_loss(t["e_sid"], t["e_item"],
+                                         t["w"].values.reshape(-1)[t["first"]])
         out = self._score(batch, t)
         click = np.asarray(batch["click"], dtype=np.float64)
         pay = np.asarray(batch["pay"], dtype=np.float64)
@@ -377,15 +374,20 @@ class GateSidModel:
     def load(cls, path):
         """Rebuild a saved model. The manifest is checked against the model
         it describes before anything is copied: a missing manifest key, an
-        unknown or missing config key or variant, a missing or extra array, an array of
-        the wrong shape, a SID table with a code that is not a whole number in
-        [0, sid_codes) or a non-zero pad row, or a ``stat_mean`` or
-        ``stat_std`` that is not n_stat finite values (``stat_std`` > 0) is a
-        ValueError that names the file and the key."""
+        ``n_items`` or ``n_users`` that is not an int of at least 1, an
+        unknown or missing config key or variant, a missing or extra array,
+        an array of the wrong shape, a SID table with a code that is not a
+        whole number in [0, sid_codes) or a non-zero pad row, or a
+        ``stat_mean`` or ``stat_std`` that is not n_stat finite values
+        (``stat_std`` > 0) is a ValueError that names the file and the key."""
         arrays, meta = dk.load_arrays(path)
         for k in ("config", "n_items", "n_users", "stat_mean", "stat_std"):
             if k not in meta:
                 raise ValueError(f"{path}: missing manifest key '{k}'")
+        for k in ("n_items", "n_users"):
+            if type(meta[k]) is not int or meta[k] < 1:
+                raise ValueError(f"{path}: manifest key '{k}' must be an int of at least 1, "
+                                 f"got {meta[k]!r}")
         keys, want_keys = set(meta["config"]), {f.name for f in fields(ModelConfig)}
         for what, bad in (("unknown", keys - want_keys), ("missing", want_keys - keys)):
             if bad:

@@ -37,10 +37,8 @@ def test_parse_config_text_requires_key_value():
 def test_parse_config_bad_value_types():
     with pytest.raises(config.ConfigError):
         config.parse_config_text("seed=abc\n")
-    with pytest.raises(config.ConfigError):
-        config.parse_config_text("token_warm_start=maybe\n")
-    assert config.parse_config_text("token_warm_start=false\n") == {
-        "token_warm_start": False}
+    with pytest.raises(config.ConfigError, match="config key 'tau'"):
+        config.parse_config_text("tau=high\n")
 
 
 def test_build_config_precedence(tmp_path):
@@ -57,6 +55,9 @@ def test_build_config_rejects_unknown_override():
         config.build_config(None, ["nope=1"])
     with pytest.raises(config.ConfigError, match="key=value"):
         config.build_config(None, ["seed"])
+    for key in ("token_warm_start", "token_target_norm"):  # removed: the warm start always runs
+        with pytest.raises(config.ConfigError, match=f"unknown config key '{key}'"):
+            config.build_config(None, [f"{key}=1"])
 
 
 def test_build_config_rejects_bad_variant():
@@ -94,10 +95,13 @@ def test_model_config_derives_item_dim():
     ("lr=nan", "config key 'lr': must be finite, got nan"),
     ("lr=inf", "config key 'lr': must be finite, got inf"),
     ("rq_lr=-inf", "config key 'rq_lr': must be finite, got -inf"),
-    ("token_target_norm=nan", "config key 'token_target_norm': must be finite, got nan"),
+    # each of these would fail mid-stage, with a message that names no key
+    ("n_days=0", "config key 'n_days': must be at least 1, got 0"),
+    ("n_topics=0", "config key 'n_topics': must be at least 1, got 0"),
+    ("cold_fraction=1.5", "config key 'cold_fraction': must be in [0, 1], got 1.5"),
 ], ids=["variant", "seed", "no-variant", "no-seed", "deleted-variant", "deleted-ablate-variant",
         "epochs", "rq-epochs", "batch-size", "rq-batch", "tau-zero", "tau-negative", "tau-nan",
-        "lr-nan", "lr-inf", "rq-lr-minus-inf", "run-level-float-nan"])
+        "lr-nan", "lr-inf", "rq-lr-minus-inf", "n-days", "n-topics", "cold-fraction"])
 def test_ablate_rejects_bad_list_entry(tmp_path, capsys, setting, message):
     with pytest.raises(config.ConfigError, match=re.escape(message)):
         config.build_config(None, [setting])
@@ -108,9 +112,8 @@ def test_ablate_rejects_bad_list_entry(tmp_path, capsys, setting, message):
 
 
 # RunConfig keys that no per-module view reads: the seed, artifact paths and
-# settings the CLI applies itself
-RUN_LEVEL_KEYS = {"seed", "token_warm_start", "token_target_norm",
-                  "ablate_variants", "ablate_seeds"}
+# the ablation grid, which the CLI reads itself
+RUN_LEVEL_KEYS = {"seed", "ablate_variants", "ablate_seeds"}
 # keys that two views read on purpose: the corpus and the quantizer share the
 # content width; the quantizer and the model share the SID shape
 SHARED_KEYS = {"content_dim", "rq_levels", "rq_codes"}
@@ -463,7 +466,7 @@ def test_train_rejects_header_only_csv(tmp_path, capsys, name):
     rqvae.save_sid_table(str(tmp_path / "sids.csv"), np.r_[1:151], np.zeros((150, 3), dtype=int))
     path = tmp_path / name
     path.write_text(path.read_text().split("\n")[0] + "\n")
-    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "token_warm_start=false")
+    code, _, err = run_cli(capsys, "train", "--config", cfg)
     assert code == 1 and f"{path}: no data lines" in err, err
 
 
@@ -588,7 +591,7 @@ def test_train_rejects_corrupt_corpus_ids(tmp_path, capsys, case):
     lines = path.read_text().split("\n")
     line = mutate(lines)
     path.write_text("\n".join(lines))
-    code, _, err = run_cli(capsys, "train", "--config", cfg, "--set", "token_warm_start=false")
+    code, _, err = run_cli(capsys, "train", "--config", cfg)
     assert code == 1, err
     assert message in err, err
     if line is not None:
@@ -611,8 +614,8 @@ def nan_loss_at_step(monkeypatch, step):
     real_loss = GateSidModel.loss
     calls = []
 
-    def loss(self, batch, contrast_w=None):
-        total, parts = real_loss(self, batch, contrast_w)
+    def loss(self, batch):
+        total, parts = real_loss(self, batch)
         calls.append(1)
         return (dk.affine(total, np.nan) if len(calls) == step + 1 else total), parts
 

@@ -8,7 +8,8 @@ import pytest
 
 import gatesid.diffkernel as dk
 from gatesid.diffkernel.tensor import _accum, _make
-from gatesid.model import GateSidModel, ModelConfig, VARIANTS, token_init_from_codebook
+from gatesid.model import (GateSidModel, ModelConfig, TOKEN_INIT_NORM, VARIANTS,
+                           token_init_from_codebook)
 from oracle_ops import concat, mul, tsum
 
 
@@ -625,15 +626,6 @@ def test_total_loss_arithmetic():
     assert float(combo.values) == pytest.approx(1.05)
 
 
-def test_contrast_w_override_matches_current_gate():
-    model = tiny_model()
-    batch = tiny_batch(model)
-    out = model.forward(batch)
-    t1, _ = model.loss(batch)
-    t2, _ = model.loss(batch, contrast_w=out["w"].values.copy())
-    assert float(t1.values) == pytest.approx(float(t2.values), rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # stat normalization, token warm start, persistence
 
@@ -650,13 +642,13 @@ def test_stat_norm_standardizes_log_counts():
 def test_token_init_from_codebook_geometry():
     rng = np.random.default_rng(9)
     codes = rng.normal(size=(3, 8, 6))
-    toks = token_init_from_codebook(codes, d_token=10, target_norm=4.0)
+    toks = token_init_from_codebook(codes, d_token=10)
     assert toks.shape == (3 * 8, 10)  # row k * 8 + c: code c at level k
     assert np.all(toks[:, 6:] == 0.0)  # zero padding beyond the code dims
     levels = toks.reshape(3, 8, 10)
     assert np.allclose(levels[..., :6], codes * (levels[0, 0, 0] / codes[0, 0, 0]))
     concat_norm = np.sqrt(sum((t ** 2).sum(axis=1).mean() for t in levels))
-    assert concat_norm == pytest.approx(4.0, rel=1e-12)
+    assert concat_norm == pytest.approx(TOKEN_INIT_NORM, rel=1e-12)
     # truncation branch
     toks2 = token_init_from_codebook(codes, d_token=4)
     assert toks2.shape == (3 * 8, 4)
@@ -752,11 +744,18 @@ def test_predict_does_not_depend_on_the_chunk_size():
     (lambda meta, arrays: meta.update(stat_std=[2.0]), "stat_std"),
     (lambda meta, arrays: meta["stat_std"].__setitem__(1, 0.0), "stat_std"),
     (lambda meta, arrays: meta["stat_mean"].__setitem__(0, None), "stat_mean"),
+    # each of these would fail while the model is built, with a message that
+    # names neither the file nor the key
+    (lambda meta, arrays: meta.update(n_items="5"), "n_items"),
+    (lambda meta, arrays: meta.update(n_items=-1), "n_items"),
+    (lambda meta, arrays: meta.update(n_users=2.5), "n_users"),
+    (lambda meta, arrays: meta.update(n_users=-3), "n_users"),
 ], ids=["unknown_config_key", "missing_config_key", "missing_array", "extra_array",
         "shape_mismatch", "nonfinite_sid_code", "fractional_sid_code", "sid_code_outside_level",
         "nonzero_sid_pad_row", "missing_config", "missing_n_items", "missing_n_users",
         "missing_stat_mean", "missing_stat_std", "one_stat_mean", "one_stat_std",
-        "zero_stat_std", "null_stat_mean"])
+        "zero_stat_std", "null_stat_mean", "text_n_items", "negative_n_items",
+        "fractional_n_users", "negative_n_users"])
 def test_load_rejects_checkpoint_that_does_not_fit(tmp_path, edit, key):
     path = str(tmp_path / "m.ckpt")
     tiny_model().save(path)
